@@ -154,9 +154,9 @@ bool FusedTail::ApplySample(Sample* sample) const {
         break;
     }
   }
-  // Stages mutate regions in place; a stale chromosome index must not
-  // survive the (size-preserving) PROJECT rewrite.
-  sample->InvalidateChromIndex();
+  // Stages mutate regions in place; stale attribute columns must not
+  // survive the (size-preserving) PROJECT rewrite of region values.
+  sample->InvalidateCaches();
   return true;
 }
 

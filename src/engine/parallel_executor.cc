@@ -24,7 +24,6 @@ using core::AggregateSpec;
 using core::FusedTail;
 using core::OpKind;
 using core::Operators;
-using gdm::ChromIndex;
 using gdm::ColumnChunk;
 using gdm::Dataset;
 using gdm::GenomicRegion;
@@ -71,19 +70,6 @@ void SliceSweep(const std::vector<GenomicRegion>& refs, size_t rb, size_t re,
       }
     }
   }
-}
-
-/// Max region length per chromosome of a sorted region list. Only the seed
-/// (kPerPair) partitioner uses this O(|exp|)-per-pair rescan; the flat
-/// scheduler reads the same figures from the sample's cached ChromIndex.
-std::map<int32_t, int64_t> MaxLenByChrom(
-    const std::vector<GenomicRegion>& regions) {
-  std::map<int32_t, int64_t> out;
-  for (const auto& r : regions) {
-    auto& m = out[r.chrom];
-    m = std::max(m, r.length());
-  }
-  return out;
 }
 
 uint64_t SliceBytes(const std::vector<GenomicRegion>& regions, size_t begin,
@@ -224,62 +210,8 @@ const char* BackendKindName(BackendKind kind) {
   return "?";
 }
 
-const char* SchedulingModeName(SchedulingMode mode) {
-  switch (mode) {
-    case SchedulingMode::kFlat:
-      return "flat";
-    case SchedulingMode::kPerPair:
-      return "per-pair";
-  }
-  return "?";
-}
-
 ParallelExecutor::ParallelExecutor(EngineOptions options)
     : options_(options), pool_(options.threads) {}
-
-std::vector<ParallelExecutor::Partition> ParallelExecutor::MakePartitions(
-    const std::vector<GenomicRegion>& refs,
-    const std::vector<GenomicRegion>& exps, int64_t slack) const {
-  std::vector<Partition> out;
-  if (refs.empty()) return out;
-  auto max_len = MaxLenByChrom(exps);
-  size_t i = 0;
-  while (i < refs.size()) {
-    size_t begin = i;
-    int32_t chrom = refs[i].chrom;
-    int64_t span_start = refs[i].left;
-    int64_t max_right = refs[i].right;
-    ++i;
-    while (i < refs.size() && refs[i].chrom == chrom &&
-           refs[i].left < span_start + options_.bin_size) {
-      max_right = std::max(max_right, refs[i].right);
-      ++i;
-    }
-    // Matching exp range: regions whose span (widened by slack) can reach
-    // any ref in [begin, i). Exps are sorted by (chrom, left); use the
-    // chromosome's max exp length to bound how far left to reach.
-    int64_t reach = slack;
-    auto ml = max_len.find(chrom);
-    int64_t exp_len = ml == max_len.end() ? 0 : ml->second;
-    int64_t lo_pos = span_start - reach - exp_len;
-    int64_t hi_pos = max_right + reach;
-    auto lower = std::lower_bound(
-        exps.begin(), exps.end(), std::make_pair(chrom, lo_pos),
-        [](const GenomicRegion& r, const std::pair<int32_t, int64_t>& key) {
-          if (r.chrom != key.first) return r.chrom < key.first;
-          return r.left < key.second;
-        });
-    auto upper = std::lower_bound(
-        exps.begin(), exps.end(), std::make_pair(chrom, hi_pos),
-        [](const GenomicRegion& r, const std::pair<int32_t, int64_t>& key) {
-          if (r.chrom != key.first) return r.chrom < key.first;
-          return r.left < key.second;
-        });
-    out.push_back({begin, i, static_cast<size_t>(lower - exps.begin()),
-                   static_cast<size_t>(upper - exps.begin())});
-  }
-  return out;
-}
 
 Result<gdm::Dataset> ParallelExecutor::Execute(
     const core::PlanNode& node, const std::vector<const Dataset*>& inputs) {
@@ -368,37 +300,26 @@ Result<gdm::Dataset> ParallelExecutor::ExecuteFused(
     return Status::Internal("fused node with no stages");
   }
   const core::PlanNode& producer = *node.fused_stages[0];
-  if (options_.scheduling == SchedulingMode::kFlat) {
-    static obs::Counter* fused_chains =
-        obs::MetricsRegistry::Global().GetCounter(
-            "gdms_engine_fused_chains_total");
-    fused_chains->Add();
-    switch (producer.kind) {
-      case OpKind::kSelect:
-        return ParallelSelect(producer.select, *inputs[0], &node);
-      case OpKind::kMap:
-        return ParallelMap(producer.map, *inputs[0], *inputs[1], &node);
-      case OpKind::kJoin:
-        return ParallelJoin(producer.join, *inputs[0], *inputs[1], &node);
-      case OpKind::kDifference:
-        return ParallelDifference(producer.difference, *inputs[0], *inputs[1],
-                                  &node);
-      case OpKind::kCover:
-        return ParallelCover(producer.cover, *inputs[0], &node);
-      default:
-        break;
-    }
+  static obs::Counter* fused_chains =
+      obs::MetricsRegistry::Global().GetCounter(
+          "gdms_engine_fused_chains_total");
+  fused_chains->Add();
+  switch (producer.kind) {
+    case OpKind::kSelect:
+      return ParallelSelect(producer.select, *inputs[0], &node);
+    case OpKind::kMap:
+      return ParallelMap(producer.map, *inputs[0], *inputs[1], &node);
+    case OpKind::kJoin:
+      return ParallelJoin(producer.join, *inputs[0], *inputs[1], &node);
+    case OpKind::kDifference:
+      return ParallelDifference(producer.difference, *inputs[0], *inputs[1],
+                                &node);
+    case OpKind::kCover:
+      return ParallelCover(producer.cover, *inputs[0], &node);
+    default:
+      return Status::Internal(std::string("fused chain with producer ") +
+                              core::OpKindName(producer.kind));
   }
-  // kPerPair baseline (the seed scheduler stays untouched for A/B runs):
-  // decompose the chain — producer through the parallel dispatch, consumer
-  // stages through the sequential fallback.
-  GDMS_ASSIGN_OR_RETURN(gdm::Dataset current, ExecuteOp(producer, inputs));
-  for (size_t i = 1; i < node.fused_stages.size(); ++i) {
-    std::vector<const Dataset*> stage_inputs = {&current};
-    GDMS_ASSIGN_OR_RETURN(
-        current, fallback_.Execute(*node.fused_stages[i], stage_inputs));
-  }
-  return current;
 }
 
 Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
@@ -446,66 +367,35 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   Dataset out(fused != nullptr ? tail.output_name() : "DIFFERENCE",
               fused != nullptr ? tail.output_schema() : left.schema());
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: one task per left sample, right side rescanned with
-    // the O(S^2) joinby loop and negatives re-sorted whole per sample.
-    std::vector<Sample> results(left.num_samples());
-    RunStage("difference:samples", left.num_samples(), [&](size_t si) {
-      const Sample& ls = left.sample(si);
-      std::vector<GenomicRegion> negatives;
-      for (const auto& rs : right.samples()) {
-        if (Operators::JoinbyMatch(params.joinby, ls.metadata, rs.metadata)) {
-          negatives.insert(negatives.end(), rs.regions.begin(),
-                           rs.regions.end());
-        }
-      }
-      Sample ns(ls.id);
-      ns.metadata = ls.metadata;
-      if (negatives.empty()) {
-        ns.regions = ls.regions;
-      } else {
-        gdm::SortRegions(&negatives);
-        auto flags = interval::ExistsOverlap(ls.regions, negatives);
-        for (size_t i = 0; i < ls.regions.size(); ++i) {
-          if (!flags[i]) ns.regions.push_back(ls.regions[i]);
-        }
-      }
-      results[si] = std::move(ns);
-    });
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: tasks span (left sample x chromosome). Negatives are
-  // gathered per chromosome through each matched right sample's cached
-  // index, so only same-chromosome slices are merged and sorted — overlap
-  // never crosses chromosomes, so per-chromosome difference equals the
-  // whole-sample difference.
+  // Tasks span (left sample x chromosome). Negatives are gathered per
+  // chromosome through each matched right sample's chunk directory, so only
+  // same-chromosome slices are merged and sorted — overlap never crosses
+  // chromosomes, so per-chromosome difference equals the whole-sample
+  // difference.
   auto pair_idx = MatchJoinbyPairs(left, right, params.joinby);
   std::vector<std::vector<const Sample*>> matched(left.num_samples());
   for (const auto& [l, r] : pair_idx) matched[l].push_back(&right.sample(r));
 
+  // Both paths read chromosome ranges from the samples' RegionColumns. The
+  // caches build lazily and thread-safely; this stage only pre-builds them
+  // in parallel so overlapping tasks don't duplicate the work.
+  std::vector<std::pair<const Sample*, const Dataset*>> to_build;
+  to_build.reserve(left.num_samples());
+  for (const auto& s : left.samples()) to_build.emplace_back(&s, &left);
+  std::unordered_map<const Sample*, char> seen;
+  for (const auto& per_left : matched) {
+    for (const Sample* rs : per_left) {
+      if (seen.emplace(rs, 1).second) to_build.emplace_back(rs, &right);
+    }
+  }
+  RunStage("difference:columnarize", to_build.size(), [&](size_t i) {
+    (void)to_build[i].first->columns(to_build[i].second->schema());
+  });
+
   // Columnar fast path: negatives are gathered as bare coordinate pairs out
   // of each matched right sample's columns (no Value payload copies), and
-  // the exists-sweep runs over packed coordinate arrays. The caches build
-  // lazily and thread-safely; this stage only pre-builds them in parallel so
-  // overlapping tasks don't duplicate the work.
-  bool use_columnar = options_.columnar;
-  if (use_columnar) {
-    std::vector<std::pair<const Sample*, const Dataset*>> to_build;
-    to_build.reserve(left.num_samples());
-    for (const auto& s : left.samples()) to_build.emplace_back(&s, &left);
-    std::unordered_map<const Sample*, char> seen;
-    for (const auto& per_left : matched) {
-      for (const Sample* rs : per_left) {
-        if (seen.emplace(rs, 1).second) to_build.emplace_back(rs, &right);
-      }
-    }
-    RunStage("difference:columnarize", to_build.size(), [&](size_t i) {
-      (void)to_build[i].first->columns(to_build[i].second->schema());
-    });
-  }
-
+  // the exists-sweep runs over packed coordinate arrays.
+  bool use_columnar = columnar_;
   struct DiffTask {
     size_t sample;
     int32_t chrom;
@@ -516,15 +406,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
   std::vector<std::pair<size_t, size_t>> task_range(left.num_samples());
   for (size_t si = 0; si < left.num_samples(); ++si) {
     task_range[si].first = tasks.size();
-    if (use_columnar) {
-      // The columns' chunk directory subsumes ChromIndex here.
-      for (const auto& c : left.sample(si).columns(left.schema()).chunks()) {
-        tasks.push_back({si, c.chrom, c.begin, c.end});
-      }
-    } else {
-      for (const auto& slice : left.sample(si).chrom_index().slices()) {
-        tasks.push_back({si, slice.chrom, slice.begin, slice.end});
-      }
+    for (const auto& c : left.sample(si).columns(left.schema()).chunks()) {
+      tasks.push_back({si, c.chrom, c.begin, c.end});
     }
     task_range[si].second = tasks.size();
   }
@@ -574,10 +457,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
     }
     std::vector<GenomicRegion> negatives;
     for (const Sample* rs : matched[t.sample]) {
-      const ChromIndex::Slice* slice = rs->chrom_index().FindSlice(t.chrom);
-      if (slice != nullptr) {
-        negatives.insert(negatives.end(), rs->regions.begin() + slice->begin,
-                         rs->regions.begin() + slice->end);
+      const ColumnChunk* ch = rs->columns(right.schema()).FindChunk(t.chrom);
+      if (ch != nullptr) {
+        negatives.insert(negatives.end(), rs->regions.begin() + ch->begin,
+                         rs->regions.begin() + ch->end);
       }
     }
     std::vector<GenomicRegion> refs(ls.regions.begin() + t.begin,
@@ -684,73 +567,17 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     return ns;
   };
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: sequential outer loop, one ParallelFor per pair (a
-    // stage barrier per pair for the materialized backend).
-    for (size_t p = 0; p < pair_idx.size(); ++p) {
-      const Sample& rs = ref.sample(pair_idx[p].first);
-      const Sample& es = exp.sample(pair_idx[p].second);
-      auto partitions = MakePartitions(rs.regions, es.regions, 0);
-      trace_.partitions.fetch_add(partitions.size(), kRelaxed);
-      std::vector<std::vector<Value>> agg_values(rs.regions.size());
-
-      if (options_.backend == BackendKind::kMaterialized) {
-        std::vector<std::string> ref_buffers(partitions.size());
-        std::vector<std::string> exp_buffers(partitions.size());
-        RunStage("map:shuffle-write", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(rs.regions, part.ref_begin, part.ref_end,
-                         &ref_buffers[pi]),
-              kRelaxed);
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(es.regions, part.exp_begin, part.exp_end,
-                         &exp_buffers[pi]),
-              kRelaxed);
-        });
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-        obs::ScopedCharge shuffle_charge(
-            ShuffleBufferBytes(ref_buffers, exp_buffers));
-        FirstError errors;
-        RunStage("map:compute", partitions.size(), [&](size_t pi) {
-          if (errors.failed()) return;
-          auto refs = RegionCodec::Decode(ref_buffers[pi]);
-          auto exps = RegionCodec::Decode(exp_buffers[pi]);
-          if (!refs.ok() || !exps.ok()) {
-            errors.Capture(refs.ok() ? exps.status() : refs.status());
-            return;
-          }
-          const auto& rv = refs.value();
-          const auto& ev = exps.value();
-          compute(agg_values, partitions[pi], rv, 0, rv.size(), ev, 0,
-                  ev.size());
-        });
-        GDMS_RETURN_NOT_OK(errors.status());
-      } else {
-        RunStage("map:compute", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          compute(agg_values, part, rs.regions, part.ref_begin, part.ref_end,
-                  es.regions, part.exp_begin, part.exp_end);
-        });
-      }
-      results[p] = assemble(rs, es, agg_values);
-    }
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: ONE task list spanning every pair x partition. Ref
-  // chunks are computed once per distinct ref sample; exp ranges come from
-  // the exp sample's cached ChromIndex — or, on the columnar fast path, from
-  // the sample's RegionColumns chunk directory (built here, on the calling
-  // thread; both caches are also safe to build concurrently).
+  // ONE task list spanning every pair x partition. Ref chunks are computed
+  // once per distinct ref sample; exp ranges come from the exp sample's
+  // RegionColumns chunk directory (built here, on the calling thread; the
+  // cache is also safe to build concurrently).
   //
   // Columnar fast path: the compute stage sweeps the packed coordinate
   // columns (no Value payloads in the cache lines), buffers the match list,
   // and folds each aggregate's input column over it into per-ref-row moment
   // arrays; rows are only touched again at assembly. Match emission order
   // equals the row sweep's, so double accumulation is bit-identical.
-  bool use_columnar = options_.columnar &&
+  bool use_columnar = columnar_ &&
                       options_.backend == BackendKind::kPipelined &&
                       ColumnarMapEligible(specs);
   struct PairState {
@@ -773,10 +600,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     PairState ps;
     ps.rs = &ref.sample(l);
     ps.es = &exp.sample(r);
+    ps.ecols = &ps.es->columns(exp.schema());
     std::vector<Partition> bound;
     if (use_columnar) {
       ps.rcols = &ps.rs->columns(ref.schema());
-      ps.ecols = &ps.es->columns(exp.schema());
       // Chunk-aligned partitions: one task per ref chromosome present on
       // both sides, straight from the chunk directories. This skips the bin
       // partitioner (RefChunkCache scan + per-bin lower-bound searches)
@@ -801,8 +628,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
         }
       }
     } else {
-      bound = BindPartitions(chunks.ChunksFor(*ps.rs), ps.es->regions,
-                             ps.es->chrom_index(), 0);
+      bound = BindPartitions(chunks.ChunksFor(*ps.rs), *ps.ecols, 0);
       ps.agg_values.resize(ps.rs->regions.size());
     }
     ps.part_begin = parts.size();
@@ -948,73 +774,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
 
   int64_t window = std::max<int64_t>(0, params.predicate.max_dist) + 1;
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    for (size_t p = 0; p < pair_idx.size(); ++p) {
-      const Sample& ls = left.sample(pair_idx[p].first);
-      const Sample& rsamp = right.sample(pair_idx[p].second);
-      Sample ns = Operators::DerivedSample("JOIN", ls, rsamp, true);
-      auto partitions = MakePartitions(ls.regions, rsamp.regions, window);
-      trace_.partitions.fetch_add(partitions.size(), kRelaxed);
-      std::vector<std::vector<GenomicRegion>> chunk_out(partitions.size());
-
-      if (options_.backend == BackendKind::kMaterialized) {
-        std::vector<std::string> lbuf(partitions.size());
-        std::vector<std::string> rbuf(partitions.size());
-        RunStage("join:shuffle-write", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(ls.regions, part.ref_begin, part.ref_end, &lbuf[pi]),
-              kRelaxed);
-          trace_.shuffle_bytes.fetch_add(
-              SliceBytes(rsamp.regions, part.exp_begin, part.exp_end,
-                         &rbuf[pi]),
-              kRelaxed);
-        });
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-        obs::ScopedCharge shuffle_charge(ShuffleBufferBytes(lbuf, rbuf));
-        FirstError errors;
-        RunStage("join:compute", partitions.size(), [&](size_t pi) {
-          if (errors.failed()) return;
-          auto lr = RegionCodec::Decode(lbuf[pi]);
-          auto rr = RegionCodec::Decode(rbuf[pi]);
-          if (!lr.ok() || !rr.ok()) {
-            errors.Capture(lr.ok() ? rr.status() : lr.status());
-            return;
-          }
-          const auto& lv = lr.value();
-          const auto& rv = rr.value();
-          SliceSweep(lv, 0, lv.size(), rv, 0, rv.size(), window,
-                     [&](size_t i, size_t a) {
-                       Operators::JoinEmit(params, lv[i], rv[a],
-                                           &chunk_out[pi]);
-                     });
-        });
-        GDMS_RETURN_NOT_OK(errors.status());
-      } else {
-        RunStage("join:compute", partitions.size(), [&](size_t pi) {
-          const Partition& part = partitions[pi];
-          SliceSweep(ls.regions, part.ref_begin, part.ref_end, rsamp.regions,
-                     part.exp_begin, part.exp_end, window,
-                     [&](size_t i, size_t a) {
-                       Operators::JoinEmit(params, ls.regions[i],
-                                           rsamp.regions[a], &chunk_out[pi]);
-                     });
-        });
-      }
-      for (auto& chunk : chunk_out) {
-        ns.regions.insert(ns.regions.end(),
-                          std::make_move_iterator(chunk.begin()),
-                          std::make_move_iterator(chunk.end()));
-      }
-      ns.SortNow();
-      results[p] = std::move(ns);
-    }
-    for (auto& s : results) out.AddSample(std::move(s));
-    return out;
-  }
-
-  // Flat scheduler: one task list over all pairs x partitions, then a
-  // parallel per-pair assembly (concatenate + sort).
+  // One task list over all pairs x partitions, then a parallel per-pair
+  // assembly (concatenate + sort).
   struct PairState {
     const Sample* ls;
     const Sample* rs;
@@ -1030,8 +791,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
     PairState ps;
     ps.ls = &left.sample(l);
     ps.rs = &right.sample(r);
-    auto bound = BindPartitions(chunks.ChunksFor(*ps.ls), ps.rs->regions,
-                                ps.rs->chrom_index(), window);
+    auto bound = BindPartitions(chunks.ChunksFor(*ps.ls),
+                                ps.rs->columns(right.schema()), window);
     ps.part_begin = parts.size();
     parts.insert(parts.end(), bound.begin(), bound.end());
     ps.part_end = parts.size();
@@ -1149,7 +910,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     std::vector<Seg> segs;
     size_t seg_offset = 0;  // first segment in the flat per-segment arrays
     interval::CoverBounds bounds{0, 0};
-    // Columnar pooling (flat pipelined, no aggregates): one entry per
+    // Columnar pooling (pipelined, no aggregates): one entry per
     // segment — the chromosome and its merged, sorted coordinate pairs,
     // gathered from the members' columns without touching Value payloads.
     // `segs` then holds placeholder ranges purely to keep the counts that
@@ -1171,7 +932,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   // no aggregates (FLAT and aggregate rows read the pooled inputs back) and
   // the pipelined backend (materialized ships row slices through the
   // shuffle codec).
-  bool use_columnar = options_.columnar &&
+  bool use_columnar = columnar_ &&
                       options_.backend == BackendKind::kPipelined &&
                       params.variant != core::CoverVariant::kFlat &&
                       params.aggregates.empty();
@@ -1203,7 +964,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
   };
 
   // Pool and sort member regions, then find the chromosome segments of the
-  // pooled list. Under the flat scheduler this runs per-group in parallel.
+  // pooled list. Runs per-group in parallel.
   auto pool_group = [](GroupWork* g) {
     size_t total = 0;
     for (const auto* m : g->members) total += m->regions.size();
@@ -1225,8 +986,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     }
   };
 
-  // Phase bodies shared by both schedulers; all flat arrays are indexed by
-  // g.seg_offset + local segment index.
+  // Phase bodies; all flat arrays are indexed by g.seg_offset + local
+  // segment index.
   struct SegState {
     std::vector<interval::AccSegment> profile;
     std::vector<GenomicRegion> inputs;
@@ -1340,32 +1101,8 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     return ns;
   };
 
-  if (options_.scheduling == SchedulingMode::kPerPair) {
-    // Seed scheduler: sequential loop over groups, segment parallelism
-    // within each group only (a stage barrier per group when materialized).
-    for (auto& g : groups) {
-      pool_group(&g);
-      trace_.partitions.fetch_add(g.segs.size(), kRelaxed);
-      std::vector<SegState> states(g.segs.size());
-      FirstError errors;
-      RunStage("cover:profile", g.segs.size(), [&](size_t si) {
-        profile_segment(g, si, &states[si], &errors);
-      });
-      GDMS_RETURN_NOT_OK(errors.status());
-      if (options_.backend == BackendKind::kMaterialized) {
-        trace_.stage_barriers.fetch_add(1, kRelaxed);
-      }
-      resolve_bounds(&g, states);
-      RunStage("cover:compute", g.segs.size(), [&](size_t si) {
-        compute_segment(g, &states[si]);
-      });
-      out.AddSample(assemble(g, states));
-    }
-    return out;
-  }
-
-  // Flat scheduler: pool every group in parallel, then run ONE task list
-  // over all (group x segment) pairs per phase.
+  // Pool every group in parallel, then run ONE task list over all
+  // (group x segment) pairs per phase.
   RunStage("cover:pool", groups.size(), [&](size_t gi) {
     if (use_columnar) {
       pool_group_columnar(&groups[gi]);

@@ -27,34 +27,12 @@ enum class BackendKind {
 
 const char* BackendKindName(BackendKind kind);
 
-/// Task-graph shape of the data-parallel operators.
-enum class SchedulingMode {
-  /// One flat task list spanning ALL sample pairs/groups x genomic
-  /// partitions, run through a single ParallelFor (one barrier per stage
-  /// for the materialized backend). The pair axis — dominant at paper scale
-  /// (Section 2: 2,423 samples) — parallelizes fully.
-  kFlat,
-  /// The seed scheduler: a sequential outer loop over sample pairs with a
-  /// ParallelFor per pair. Kept for before/after benchmarking (E7).
-  kPerPair,
-};
-
-const char* SchedulingModeName(SchedulingMode mode);
-
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t threads = 0;
   /// Genomic bin width for range-partitioning within a chromosome.
   int64_t bin_size = 5000000;
   BackendKind backend = BackendKind::kPipelined;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
-  /// Columnar fast path: under the flat pipelined scheduler, MAP /
-  /// DIFFERENCE / COVER kernels sweep each sample's cached RegionColumns
-  /// (gdm/region_columns.h) instead of the row-structured region vectors,
-  /// restoring rows only at assembly. Results are identical to the row
-  /// path (the engine tests assert bit-exact equality); disable to A/B the
-  /// row baseline (shell flag --no-columnar).
-  bool columnar = true;
 };
 
 /// Accumulated execution accounting (reset per Execute call chain via
@@ -73,8 +51,7 @@ struct EngineTrace {
   std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> stage_barriers{0};
   /// Compute tasks that ran through a columnar batch kernel instead of the
-  /// row sweep (EngineOptions::columnar; flat pipelined MAP / DIFFERENCE /
-  /// COVER only).
+  /// row sweep (set_columnar(); pipelined MAP / DIFFERENCE / COVER only).
   std::atomic<uint64_t> columnar_tasks{0};
 
   void Reset() {
@@ -91,13 +68,11 @@ struct EngineTrace {
 /// SELECT, MAP, JOIN, DIFFERENCE and COVER are parallelized by
 /// (sample-pair x genomic partition); every other operator delegates to the
 /// sequential reference implementation (they are metadata-bound and cheap).
-/// Under SchedulingMode::kFlat the full pair x partition cross product is
-/// one flat task list, and fused plan nodes (kFused) pipe each finished
-/// sample straight through the chain's consumer stages (SELECT / PROJECT /
-/// EXTEND) inside the producer's assembly tasks — the intermediate dataset
-/// between the logical operators is never allocated. Under kPerPair a fused
-/// node decomposes back into its stages (the seed scheduler stays an
-/// untouched baseline). Results are sample-for-sample equal to the
+/// The full pair x partition cross product is one flat task list, and fused
+/// plan nodes (kFused) pipe each finished sample straight through the
+/// chain's consumer stages (SELECT / PROJECT / EXTEND) inside the producer's
+/// assembly tasks — the intermediate dataset between the logical operators
+/// is never allocated. Results are sample-for-sample equal to the
 /// ReferenceExecutor — the engine tests assert exactly that.
 class ParallelExecutor : public core::Executor {
  public:
@@ -118,8 +93,14 @@ class ParallelExecutor : public core::Executor {
   }
   void ResetStats() override { trace_.Reset(); }
 
-  void set_columnar(bool on) override { options_.columnar = on; }
-  bool columnar() const override { return options_.columnar; }
+  /// Columnar fast path: pipelined MAP / DIFFERENCE / COVER kernels sweep
+  /// each sample's cached RegionColumns (gdm/region_columns.h) instead of
+  /// the row-structured region vectors, restoring rows only at assembly.
+  /// Results are identical to the row path (the engine tests assert
+  /// bit-exact equality). QueryRunner sets it from ExecOptions::columnar
+  /// on every run (shell flag --no-columnar).
+  void set_columnar(bool on) override { columnar_ = on; }
+  bool columnar() const override { return columnar_; }
 
   const EngineOptions& options() const { return options_; }
 
@@ -139,17 +120,8 @@ class ParallelExecutor : public core::Executor {
   void RunStage(const char* name, size_t n,
                 const std::function<void(size_t)>& fn);
 
-  /// The seed partitioner (SchedulingMode::kPerPair): splits a sorted ref
-  /// list into (chrom, bin-range) chunks and attaches the matching exp
-  /// range widened by `slack`, rescanning exps for max lengths every call.
-  std::vector<Partition> MakePartitions(
-      const std::vector<gdm::GenomicRegion>& refs,
-      const std::vector<gdm::GenomicRegion>& exps, int64_t slack) const;
-
-  /// Fused-chain dispatch: under kFlat the producer's Parallel* overload
-  /// runs with the chain's consumer stages bound as a FusedTail; under
-  /// kPerPair the chain decomposes into its stages (producer through the
-  /// parallel dispatch, consumers through the sequential fallback).
+  /// Fused-chain dispatch: the producer's Parallel* overload runs with the
+  /// chain's consumer stages bound as a FusedTail.
   Result<gdm::Dataset> ExecuteFused(
       const core::PlanNode& node,
       const std::vector<const gdm::Dataset*>& inputs);
@@ -176,6 +148,7 @@ class ParallelExecutor : public core::Executor {
                                      const core::PlanNode* fused = nullptr);
 
   EngineOptions options_;
+  bool columnar_ = true;
   ThreadPool pool_;
   core::ReferenceExecutor fallback_;
   EngineTrace trace_;

@@ -65,6 +65,24 @@ std::vector<std::string> SampleKeys(const gdm::Metadata& meta,
   }
 }
 
+/// First row of `chunk` whose left coordinate is >= pos (chunk.end when
+/// every row starts before pos).
+template <typename Coord>
+size_t LowerBoundLeft(const std::vector<Coord>& lefts,
+                      const gdm::ColumnChunk& chunk, int64_t pos) {
+  auto it = std::lower_bound(
+      lefts.begin() + static_cast<std::ptrdiff_t>(chunk.begin),
+      lefts.begin() + static_cast<std::ptrdiff_t>(chunk.end), pos,
+      [](Coord left, int64_t p) { return left < p; });
+  return static_cast<size_t>(it - lefts.begin());
+}
+
+size_t LowerBoundLeft(const gdm::RegionColumns& cols,
+                      const gdm::ColumnChunk& chunk, int64_t pos) {
+  return cols.narrow() ? LowerBoundLeft(cols.left32(), chunk, pos)
+                       : LowerBoundLeft(cols.left64(), chunk, pos);
+}
+
 }  // namespace
 
 std::vector<RefChunk> MakeRefChunks(
@@ -92,21 +110,23 @@ std::vector<RefChunk> MakeRefChunks(
   return out;
 }
 
-std::vector<TaskPartition> BindPartitions(
-    const std::vector<RefChunk>& chunks,
-    const std::vector<gdm::GenomicRegion>& exps,
-    const gdm::ChromIndex& exp_index, int64_t slack) {
+std::vector<TaskPartition> BindPartitions(const std::vector<RefChunk>& chunks,
+                                          const gdm::RegionColumns& exp_cols,
+                                          int64_t slack) {
   std::vector<TaskPartition> out;
   out.reserve(chunks.size());
   for (const RefChunk& chunk : chunks) {
     TaskPartition part;
     part.ref_begin = chunk.begin;
     part.ref_end = chunk.end;
-    int64_t exp_len = exp_index.MaxLen(chunk.chrom);
-    part.exp_begin = exp_index.LowerBoundLeft(
-        exps, chunk.chrom, chunk.span_start - slack - exp_len);
-    part.exp_end =
-        exp_index.LowerBoundLeft(exps, chunk.chrom, chunk.max_right + slack);
+    const gdm::ColumnChunk* exp_chunk = exp_cols.FindChunk(chunk.chrom);
+    if (exp_chunk != nullptr) {
+      part.exp_begin = LowerBoundLeft(
+          exp_cols, *exp_chunk,
+          chunk.span_start - slack - exp_chunk->max_len);
+      part.exp_end =
+          LowerBoundLeft(exp_cols, *exp_chunk, chunk.max_right + slack);
+    }
     out.push_back(part);
   }
   return out;

@@ -21,25 +21,6 @@ obs::Counter* ColumnarBuiltCounter() {
 
 }  // namespace
 
-const ChromIndex& Sample::chrom_index() const {
-  auto cached = std::atomic_load_explicit(&chrom_index_cache_,
-                                          std::memory_order_acquire);
-  if (cached != nullptr && cached->ValidFor(regions)) return *cached;
-  auto built = std::make_shared<const ChromIndex>(ChromIndex::Build(regions));
-  // Publish atomically; if another thread won the race, adopt its index (the
-  // cache keeps it alive) and drop ours. ValidFor re-check covers a winner
-  // built against older storage.
-  if (std::atomic_compare_exchange_strong_explicit(
-          &chrom_index_cache_, &cached, built, std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    return *built;
-  }
-  if (cached != nullptr && cached->ValidFor(regions)) return *cached;
-  std::atomic_store_explicit(&chrom_index_cache_, built,
-                             std::memory_order_release);
-  return *built;
-}
-
 const RegionColumns& Sample::columns(const RegionSchema& schema) const {
   auto cached =
       std::atomic_load_explicit(&columns_cache_, std::memory_order_acquire);

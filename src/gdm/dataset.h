@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "gdm/chrom_index.h"
 #include "gdm/metadata.h"
 #include "gdm/region.h"
 #include "gdm/region_columns.h"
@@ -38,28 +37,26 @@ struct Sample {
 
   void SortNow() {
     SortRegions(&regions);
-    InvalidateChromIndex();
+    InvalidateCaches();
   }
   bool IsSorted() const { return RegionsSorted(regions); }
 
-  /// The cached per-chromosome index over `regions` (see gdm/chrom_index.h),
-  /// built lazily on first use. The cache self-invalidates when the region
-  /// vector's storage or size changes (append, copy, reassignment); after
-  /// IN-PLACE coordinate mutation callers must call InvalidateChromIndex()
-  /// (SortNow does so). Lazy building is thread-safe: concurrent first
-  /// callers may each build an index, but publication is an atomic
-  /// compare-exchange, so every caller sees a fully built index and the
-  /// parallel engine can fan out over untouched samples directly. The
-  /// returned reference stays valid until the cache is invalidated —
-  /// invalidating while other threads read the sample is a (pre-existing)
-  /// caller contract violation.
-  const ChromIndex& chrom_index() const;
-
   /// The cached columnar (SoA) layout over `regions` (see
-  /// gdm/region_columns.h), built lazily against `schema` on first use with
-  /// the same invalidation and thread-safety contract as chrom_index(). The
-  /// caller must pass the owning dataset's schema every time; a schema
-  /// change without a region-storage change is not detected.
+  /// gdm/region_columns.h), built lazily against `schema` on first use. Its
+  /// chunk directory is the sample's one per-chromosome index: row range
+  /// and max region length per chromosome.
+  ///
+  /// The cache self-invalidates when the region vector's storage or size
+  /// changes (append, copy, reassignment); after IN-PLACE coordinate or
+  /// value mutation callers must call InvalidateCaches() (SortNow does so).
+  /// Lazy building is thread-safe: concurrent first callers may each build
+  /// the columns, but publication is an atomic compare-exchange, so every
+  /// caller sees fully built columns and the parallel engine can fan out
+  /// over untouched samples directly. The returned reference stays valid
+  /// until the cache is invalidated — invalidating while other threads read
+  /// the sample is a caller contract violation. The caller must pass the
+  /// owning dataset's schema every time; a schema change without a
+  /// region-storage change is not detected.
   const RegionColumns& columns(const RegionSchema& schema) const;
 
   /// Resident bytes of the cached columnar layout (0 when not built).
@@ -67,30 +64,25 @@ struct Sample {
   /// published cache pointer only.
   uint64_t ColumnarCacheBytes() const;
 
-  /// Drops only the cached columnar layout (the chromosome index stays),
-  /// returning the bytes freed. The next columns() call rebuilds the same
-  /// columns from the untouched row storage, so results are bit-identical;
-  /// the resource shedder calls this between queries under memory
-  /// pressure. Same caller contract as InvalidateChromIndex: must not race
-  /// readers holding references into the cache.
+  /// Drops the cached columnar layout, returning the bytes freed. The next
+  /// columns() call rebuilds the same columns from the untouched row
+  /// storage, so results are bit-identical; the resource shedder calls this
+  /// between queries under memory pressure. Same caller contract as
+  /// InvalidateCaches: must not race readers holding references into the
+  /// cache.
   uint64_t EvictColumns() const;
 
-  /// Drops the cached chromosome index and columnar layout; the next
-  /// chrom_index()/columns() call rebuilds them.
-  void InvalidateChromIndex() const {
-    std::atomic_store_explicit(&chrom_index_cache_,
-                               std::shared_ptr<const ChromIndex>(),
-                               std::memory_order_release);
+  /// Drops the cached columnar layout; the next columns() call rebuilds it.
+  void InvalidateCaches() const {
     std::atomic_store_explicit(&columns_cache_,
                                std::shared_ptr<const RegionColumns>(),
                                std::memory_order_release);
   }
 
  private:
-  // Lazily built caches, published with the std::atomic_* shared_ptr free
+  // Lazily built cache, published with the std::atomic_* shared_ptr free
   // functions so concurrent lazy builds race benignly (one winner, losers
   // drop their copy).
-  mutable std::shared_ptr<const ChromIndex> chrom_index_cache_;
   mutable std::shared_ptr<const RegionColumns> columns_cache_;
 };
 
@@ -138,7 +130,7 @@ class Dataset {
 
   /// Estimated in-memory (resident) bytes of the row representation:
   /// region structs, their Value payload vectors and string heap, metadata.
-  /// Caches (chrom index, columns) are not included.
+  /// The columnar caches are not included.
   uint64_t EstimateResidentBytes() const;
 
   /// Resident bytes of the samples' built columnar caches (the reclaimable

@@ -13,9 +13,9 @@ namespace gdms::gdm {
 
 /// One per-chromosome entry of a columnar sample's chunk directory: the
 /// contiguous [begin, end) row range of the chromosome plus its maximum
-/// region length. For columnar samples this subsumes ChromIndex — the same
-/// figures the flat scheduler's partitioner needs, derived in the single
-/// column-building pass.
+/// region length — the figures the engine's partitioner needs, derived in
+/// the single column-building pass. The chunk directory is the sample's
+/// only per-chromosome index.
 struct ColumnChunk {
   int32_t chrom = 0;
   size_t begin = 0;
@@ -83,8 +83,8 @@ class ValueColumn {
 /// one dictionary byte per row and each schema attribute as a ValueColumn.
 ///
 /// Built in one pass over a coordinate-sorted region list and cached on the
-/// owning Sample (Sample::columns()), exactly like the ChromIndex cache;
-/// the chunk directory replaces ChromIndex for columnar consumers.
+/// owning Sample (Sample::columns()); the chunk directory serves both the
+/// columnar kernels and the row paths' partitioning.
 class RegionColumns {
  public:
   RegionColumns() = default;
@@ -142,7 +142,8 @@ class RegionColumns {
   uint64_t MemoryBytes() const;
 
   /// True when the columns still describe `regions` storage-wise (same
-  /// data pointer and size), mirroring ChromIndex::ValidFor.
+  /// data pointer and size). In-place mutation is NOT detected — mutators
+  /// must call Sample::InvalidateCaches() (SortNow does).
   bool ValidFor(const std::vector<GenomicRegion>& regions) const {
     return data_ == regions.data() && size_ == regions.size();
   }

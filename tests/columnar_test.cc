@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <random>
 #include <thread>
@@ -110,19 +111,29 @@ TEST(RegionColumnsTest, WideCoordinatesEscapeToInt64) {
   EXPECT_EQ(back[0].right, int64_t{1} << 33);
 }
 
-TEST(RegionColumnsTest, ChunkDirectoryMatchesChromIndex) {
+TEST(RegionColumnsTest, ChunkDirectoryMatchesRegionScan) {
   std::mt19937 rng(7);
   Sample s(1);
   s.regions = RandomRegions(&rng, 500, 5, 1000000, 5000);
   RegionSchema schema;
   const RegionColumns& cols = s.columns(schema);
-  const auto& slices = s.chrom_index().slices();
-  ASSERT_EQ(cols.chunks().size(), slices.size());
-  for (size_t i = 0; i < slices.size(); ++i) {
-    EXPECT_EQ(cols.chunks()[i].chrom, slices[i].chrom);
-    EXPECT_EQ(cols.chunks()[i].begin, slices[i].begin);
-    EXPECT_EQ(cols.chunks()[i].end, slices[i].end);
-    EXPECT_EQ(cols.chunks()[i].max_len, s.chrom_index().MaxLen(slices[i].chrom));
+  // Expected directory from one direct pass over the sorted rows.
+  std::vector<gdm::ColumnChunk> expected;
+  for (size_t i = 0; i < s.regions.size(); ++i) {
+    const GenomicRegion& r = s.regions[i];
+    if (expected.empty() || expected.back().chrom != r.chrom) {
+      expected.push_back({r.chrom, i, i, 0});
+    }
+    expected.back().end = i + 1;
+    expected.back().max_len = std::max(expected.back().max_len, r.length());
+  }
+  ASSERT_EQ(cols.chunks().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(cols.chunks()[i].chrom, expected[i].chrom);
+    EXPECT_EQ(cols.chunks()[i].begin, expected[i].begin);
+    EXPECT_EQ(cols.chunks()[i].end, expected[i].end);
+    EXPECT_EQ(cols.chunks()[i].max_len, expected[i].max_len);
+    EXPECT_EQ(cols.MaxLen(expected[i].chrom), expected[i].max_len);
   }
 }
 
@@ -364,9 +375,10 @@ TEST(ColumnarEngineTest, NullValuesEquivalence) {
 
 // ------------------------------------------------------- cache thread-safety
 
-// Exercises the lazy ChromIndex / RegionColumns publication under
-// concurrent first access (the regression the engine's pre-touch loops used
-// to paper over). Run under `ctest -L tsan` to verify with ThreadSanitizer.
+// Exercises the lazy RegionColumns publication (the sample's cache slot and
+// the columns' attribute slot) under concurrent first access (the
+// regression the engine's pre-touch loops used to paper over). Run under
+// `ctest -L tsan` to verify with ThreadSanitizer.
 TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
   std::mt19937 rng(29);
   RegionSchema schema;
@@ -378,26 +390,26 @@ TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
     constexpr int kThreads = 8;
     std::atomic<int> ready{0};
     std::vector<std::thread> workers;
-    std::vector<size_t> index_sizes(kThreads), column_sizes(kThreads);
+    std::vector<size_t> chunk_counts(kThreads), column_sizes(kThreads),
+        attr_sizes(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&, t] {
         ready.fetch_add(1);
         while (ready.load() < kThreads) {
         }
-        // Half the threads race the index, half the columns, all then read.
-        if (t % 2 == 0) {
-          index_sizes[t] = s.chrom_index().slices().size();
-          column_sizes[t] = s.columns(schema).size();
-        } else {
-          column_sizes[t] = s.columns(schema).size();
-          index_sizes[t] = s.chrom_index().slices().size();
-        }
+        // All threads race the sample's column cache, then the lazily
+        // built attribute column.
+        const RegionColumns& cols = s.columns(schema);
+        chunk_counts[t] = cols.chunks().size();
+        column_sizes[t] = cols.size();
+        attr_sizes[t] = cols.attr(0).size();
       });
     }
     for (auto& w : workers) w.join();
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(column_sizes[t], s.regions.size());
-      EXPECT_EQ(index_sizes[t], s.chrom_index().slices().size());
+      EXPECT_EQ(attr_sizes[t], s.regions.size());
+      EXPECT_EQ(chunk_counts[t], s.columns(schema).chunks().size());
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/runner.h"
 #include "engine/parallel_executor.h"
 #include "engine/shuffle.h"
@@ -91,13 +93,15 @@ struct EngineCase {
   BackendKind backend;
   size_t threads;
   int64_t bin_size;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
+  /// Runner-level columnar switch; false runs the row path.
+  bool columnar = true;
 };
 
+/// `_flat` names the engine's flat pair x partition task graph.
 std::string EngineCaseName(const EngineCase& c) {
   return std::string(BackendKindName(c.backend)) + "_t" +
          std::to_string(c.threads) + "_b" + std::to_string(c.bin_size) +
-         (c.scheduling == SchedulingMode::kFlat ? "_flat" : "_perpair");
+         "_flat" + (c.columnar ? "" : "_rows");
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {
@@ -120,10 +124,10 @@ class EngineEquivalenceTest : public ::testing::TestWithParam<EngineCase> {
     options.backend = c.backend;
     options.threads = c.threads;
     options.bin_size = c.bin_size;
-    options.scheduling = c.scheduling;
     ParallelExecutor parallel(options);
     QueryRunner ref_runner = MakeRunner(nullptr);
     QueryRunner par_runner = MakeRunner(&parallel);
+    par_runner.set_columnar(c.columnar);
     auto ref = ref_runner.Run(query).ValueOrDie();
     auto par = par_runner.Run(query).ValueOrDie();
     ASSERT_EQ(ref.size(), par.size());
@@ -189,12 +193,10 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{BackendKind::kPipelined, 1, 5000000},
         EngineCase{BackendKind::kPipelined, 8, 500000},   // many partitions
         EngineCase{BackendKind::kMaterialized, 2, 1000000},
-        // The seed scheduler stays the before/after baseline for E7; keep
-        // it equal to the reference on both backends.
-        EngineCase{BackendKind::kPipelined, 4, 5000000,
-                   SchedulingMode::kPerPair},
-        EngineCase{BackendKind::kMaterialized, 4, 5000000,
-                   SchedulingMode::kPerPair}),
+        // The pipelined row path (--no-columnar): MAP binds partitions and
+        // DIFFERENCE reads chromosome ranges through the RegionColumns
+        // chunk directory, without the columnar kernels.
+        EngineCase{BackendKind::kPipelined, 4, 5000000, /*columnar=*/false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return EngineCaseName(info.param);
     });
@@ -257,10 +259,10 @@ class EngineSkewTest : public ::testing::TestWithParam<EngineCase> {
     options.backend = c.backend;
     options.threads = c.threads;
     options.bin_size = c.bin_size;
-    options.scheduling = c.scheduling;
     ParallelExecutor parallel(options);
     QueryRunner ref_runner = MakeRunner(nullptr, chroms);
     QueryRunner par_runner = MakeRunner(&parallel, chroms);
+    par_runner.set_columnar(c.columnar);
     auto ref = ref_runner.Run(query).ValueOrDie();
     auto par = par_runner.Run(query).ValueOrDie();
     ASSERT_EQ(ref.size(), par.size());
@@ -321,10 +323,7 @@ INSTANTIATE_TEST_SUITE_P(
         EngineCase{BackendKind::kMaterialized, 2, 2000000},
         EngineCase{BackendKind::kMaterialized, 8, 2000000},
         EngineCase{BackendKind::kPipelined, 8, 300000},
-        EngineCase{BackendKind::kPipelined, 4, 2000000,
-                   SchedulingMode::kPerPair},
-        EngineCase{BackendKind::kMaterialized, 4, 2000000,
-                   SchedulingMode::kPerPair}),
+        EngineCase{BackendKind::kPipelined, 4, 2000000, /*columnar=*/false}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return EngineCaseName(info.param);
     });
@@ -363,6 +362,74 @@ TEST(TaskGraphTest, MatchJoinbyPairsEqualsNestedScan) {
     }
     EXPECT_EQ(MatchJoinbyPairs(left, right, joinby), expected)
         << "joinby size " << joinby.size();
+  }
+}
+
+// ------------------------------------------------ partition binding ---
+
+using PartitionBounds = std::vector<std::array<size_t, 4>>;
+
+PartitionBounds Bounds(const std::vector<TaskPartition>& parts) {
+  PartitionBounds out;
+  for (const auto& p : parts) {
+    out.push_back({p.ref_begin, p.ref_end, p.exp_begin, p.exp_end});
+  }
+  return out;
+}
+
+TEST(TaskGraphTest, BindPartitionsOverColumnChunks) {
+  // Fresh names intern in order, so a < b < c sorts the lists below.
+  const int32_t a = InternChrom("bind_chrA");
+  const int32_t b = InternChrom("bind_chrB");
+  const int32_t c = InternChrom("bind_chrC");
+  // Narrow (int32) and wide (int64) coordinate columns bind identically.
+  for (int64_t base : {int64_t{0}, int64_t{1} << 32}) {
+    std::vector<GenomicRegion> refs = {
+        {a, base + 100, base + 200},    // chunk 0
+        {a, base + 300, base + 400},    // chunk 0
+        {a, base + 5000, base + 5100},  // chunk 1 (next bin)
+        {b, base + 500, base + 600},    // chunk 2
+        {c, base + 50, base + 80},      // chunk 3: absent from exps
+    };
+    std::vector<GenomicRegion> exps = {
+        {a, base + 0, base + 50},
+        {a, base + 150, base + 250},
+        // Longer than the 1,000 bp bin: starts three bins before ref
+        // chunk 1 and reaches it only through the chromosome's max_len.
+        {a, base + 2000, base + 5050},
+        {a, base + 6000, base + 6100},
+        {b, base + 100, base + 200},
+        {b, base + 650, base + 700},  // 50 bp right of ref 3
+        {b, base + 900, base + 1000},
+    };
+    ASSERT_TRUE(gdm::RegionsSorted(refs));
+    ASSERT_TRUE(gdm::RegionsSorted(exps));
+    gdm::RegionColumns cols =
+        gdm::RegionColumns::Build(exps, gdm::RegionSchema());
+    ASSERT_EQ(cols.narrow(), base == 0);
+
+    std::vector<RefChunk> chunks = MakeRefChunks(refs, 1000);
+    ASSERT_EQ(chunks.size(), 4u);
+    EXPECT_EQ(chunks[0].span_start, base + 100);
+    EXPECT_EQ(chunks[0].max_right, base + 400);
+    EXPECT_EQ(chunks[1].span_start, base + 5000);
+    EXPECT_EQ(chunks[1].max_right, base + 5100);
+
+    // MAP binding (no slack). Chunk 1's range starts at the long region;
+    // ref chunk 2 reaches no exp start, so its range is empty; the absent
+    // chromosome binds the empty range [0, 0).
+    EXPECT_EQ(Bounds(BindPartitions(chunks, cols, 0)),
+              (PartitionBounds{{0, 2, 0, 2},
+                               {2, 3, 2, 3},
+                               {3, 4, 5, 5},
+                               {4, 5, 0, 0}}));
+    // JOIN binding: a 100 bp window widens chunk 2's range to the region
+    // 50 bp away; the other ranges already hold every candidate.
+    EXPECT_EQ(Bounds(BindPartitions(chunks, cols, 100)),
+              (PartitionBounds{{0, 2, 0, 2},
+                               {2, 3, 2, 3},
+                               {3, 4, 5, 6},
+                               {4, 5, 0, 0}}));
   }
 }
 

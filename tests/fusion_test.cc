@@ -48,15 +48,16 @@ struct FusionCase {
   enum Executor { kReference, kParallel };
   Executor executor = kParallel;
   BackendKind backend = BackendKind::kPipelined;
-  SchedulingMode scheduling = SchedulingMode::kFlat;
+  /// Runner-level columnar switch; false runs the row path.
+  bool columnar = true;
   size_t threads = 4;
 };
 
+/// `flat` names the engine's flat pair x partition task graph.
 std::string FusionCaseName(const FusionCase& c) {
   if (c.executor == FusionCase::kReference) return "reference";
-  return std::string(BackendKindName(c.backend)) + "_" +
-         (c.scheduling == SchedulingMode::kFlat ? "flat" : "perpair") + "_t" +
-         std::to_string(c.threads);
+  return std::string(BackendKindName(c.backend)) + "_flat" +
+         (c.columnar ? "" : "_rows") + "_t" + std::to_string(c.threads);
 }
 
 class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
@@ -77,7 +78,6 @@ class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
     if (c.executor == FusionCase::kReference) return nullptr;
     EngineOptions options;
     options.backend = c.backend;
-    options.scheduling = c.scheduling;
     options.threads = c.threads;
     return std::make_unique<ParallelExecutor>(options);
   }
@@ -90,6 +90,8 @@ class FusionEquivalenceTest : public ::testing::TestWithParam<FusionCase> {
     auto plain_exec = MakeExecutor(c);
     QueryRunner fused_runner = MakeRunner(fused_exec.get());
     QueryRunner plain_runner = MakeRunner(plain_exec.get());
+    fused_runner.set_columnar(c.columnar);
+    plain_runner.set_columnar(c.columnar);
     plain_runner.set_fusion(false);
     auto fused = fused_runner.Run(query).ValueOrDie();
     auto plain = plain_runner.Run(query).ValueOrDie();
@@ -246,14 +248,12 @@ INSTANTIATE_TEST_SUITE_P(
     Executors, FusionEquivalenceTest,
     ::testing::Values(
         FusionCase{FusionCase::kReference},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kFlat, 4},
-        FusionCase{FusionCase::kParallel, BackendKind::kMaterialized,
-                   SchedulingMode::kFlat, 4},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kFlat, 1},
-        FusionCase{FusionCase::kParallel, BackendKind::kPipelined,
-                   SchedulingMode::kPerPair, 4}),
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, true, 4},
+        FusionCase{FusionCase::kParallel, BackendKind::kMaterialized, true,
+                   4},
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, true, 1},
+        FusionCase{FusionCase::kParallel, BackendKind::kPipelined, false,
+                   4}),
     [](const ::testing::TestParamInfo<FusionCase>& info) {
       return FusionCaseName(info.param);
     });

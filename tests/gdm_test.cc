@@ -3,6 +3,7 @@
 #include "gdm/dataset.h"
 #include "gdm/metadata.h"
 #include "gdm/region.h"
+#include "gdm/region_columns.h"
 #include "gdm/schema.h"
 #include "gdm/value.h"
 
@@ -296,58 +297,65 @@ TEST(DatasetTest, DescribeMentionsSchemaAndMeta) {
   EXPECT_NE(d.find("karyotype"), std::string::npos);
 }
 
-TEST(ChromIndexTest, SlicesAndMaxLen) {
+TEST(ChunkDirectoryTest, SlicesAndMaxLen) {
   std::vector<GenomicRegion> rs;
   rs.emplace_back(InternChrom("chr1"), 100, 200);
   rs.emplace_back(InternChrom("chr1"), 150, 1150);
   rs.emplace_back(InternChrom("chr1"), 300, 320);
   rs.emplace_back(InternChrom("chr3"), 5, 10);
   SortRegions(&rs);
-  ChromIndex idx = ChromIndex::Build(rs);
-  ASSERT_EQ(idx.slices().size(), 2u);
-  const ChromIndex::Slice* c1 = idx.FindSlice(InternChrom("chr1"));
+  RegionColumns cols = RegionColumns::Build(rs, RegionSchema());
+  ASSERT_EQ(cols.chunks().size(), 2u);
+  const ColumnChunk* c1 = cols.FindChunk(InternChrom("chr1"));
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(c1->begin, 0u);
   EXPECT_EQ(c1->end, 3u);
   EXPECT_EQ(c1->max_len, 1000);
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr1")), 1000);
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr2")), 0);
-  EXPECT_EQ(idx.FindSlice(InternChrom("chr2")), nullptr);
-  // Lower bound on left within a chromosome slice.
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 150), 1u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 151), 2u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr1"), 10000), 3u);
-  EXPECT_EQ(idx.LowerBoundLeft(rs, InternChrom("chr3"), 0), 3u);
+  EXPECT_EQ(cols.MaxLen(InternChrom("chr1")), 1000);
+  // An absent chromosome has no chunk and max length 0.
+  EXPECT_EQ(cols.MaxLen(InternChrom("chr2")), 0);
+  EXPECT_EQ(cols.FindChunk(InternChrom("chr2")), nullptr);
+  const ColumnChunk* c3 = cols.FindChunk(InternChrom("chr3"));
+  ASSERT_NE(c3, nullptr);
+  EXPECT_EQ(c3->begin, 3u);
+  EXPECT_EQ(c3->end, 4u);
+  // Left coordinates within a chunk stay sorted for lower-bound lookups.
+  EXPECT_EQ(cols.left(0), 100);
+  EXPECT_EQ(cols.left(1), 150);
+  EXPECT_EQ(cols.left(2), 300);
+  EXPECT_EQ(cols.left(3), 5);
 }
 
-TEST(ChromIndexTest, SampleCachesAndReuses) {
+TEST(ChunkDirectoryTest, SampleCachesAndReuses) {
   Sample s(1);
   s.regions.emplace_back(InternChrom("chr1"), 10, 20);
   s.regions.emplace_back(InternChrom("chr2"), 5, 105);
-  const ChromIndex& idx = s.chrom_index();
-  EXPECT_EQ(idx.MaxLen(InternChrom("chr2")), 100);
+  RegionSchema schema;
+  const RegionColumns& cols = s.columns(schema);
+  EXPECT_EQ(cols.MaxLen(InternChrom("chr2")), 100);
   // Unchanged storage: same cached object.
-  EXPECT_EQ(&s.chrom_index(), &idx);
+  EXPECT_EQ(&s.columns(schema), &cols);
 }
 
-TEST(ChromIndexTest, InvalidatesAfterRegionMutation) {
+TEST(ChunkDirectoryTest, InvalidatesAfterRegionMutation) {
   Sample s(1);
+  RegionSchema schema;
   for (int i = 0; i < 8; ++i) {
     s.regions.emplace_back(InternChrom("chr1"), i * 100, i * 100 + 10);
   }
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 10);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 10);
   // Size change (append) is detected automatically.
   s.regions.emplace_back(InternChrom("chr2"), 0, 500);
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr2")), 500);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr2")), 500);
   // In-place coordinate mutation requires explicit invalidation; SortNow
   // (the mutation path every operator uses) performs it.
   s.regions[0].right = s.regions[0].left + 9000;
   s.SortNow();
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 9000);
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 9000);
   // Direct invalidation also works.
   s.regions[1].right = s.regions[1].left + 20000;
-  s.InvalidateChromIndex();
-  EXPECT_EQ(s.chrom_index().MaxLen(InternChrom("chr1")), 20000);
+  s.InvalidateCaches();
+  EXPECT_EQ(s.columns(schema).MaxLen(InternChrom("chr1")), 20000);
 }
 
 TEST(DeriveSampleIdTest, DeterministicAndTagged) {

@@ -20,8 +20,8 @@ bench_e7 reports fail when:
     encoded size grew beyond tolerance (both figures are byte counts of a
     seeded corpus, so they are machine-independent),
   * bytes_resident is missing or grew beyond tolerance,
-  * a (threads, scheduling, columnar) row's wall_seconds regressed beyond
-    the tolerance, or its task count changed (task counts are exact).
+  * a (threads, columnar) row's wall_seconds regressed beyond the
+    tolerance, or its task count changed (task counts are exact).
 
 bench_e8 reports fail when:
   * any retryable-fault scenario (fault_free, flaky_fetch, straggler_*)
@@ -151,7 +151,7 @@ def check_e1(baseline, current, tol, failures, notes):
 
 def e7_rows(report):
     return {
-        (run["threads"], run["scheduling"], run.get("columnar", 1)): run
+        (run["threads"], run.get("columnar", 1)): run
         for run in report.get("runs", [])
     }
 
@@ -205,8 +205,8 @@ def check_e7(baseline, current, tol, failures, notes):
     cur_rows = e7_rows(current)
     for key, base in sorted(base_rows.items()):
         cur = cur_rows.get(key)
-        threads, scheduling, columnar = key
-        label = f"threads={threads} {scheduling}{' columnar' if columnar else ''}"
+        threads, columnar = key
+        label = f"threads={threads} {'columnar' if columnar else 'row'}"
         if cur is None:
             failures.append(f"row {label} missing from current report")
             continue
