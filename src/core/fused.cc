@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/aggregates.h"
+#include "core/operators.h"
 #include "core/predicates.h"
 
 namespace gdms::core {
@@ -28,6 +29,8 @@ struct FusedTail::Stage {
   std::vector<RegionExpr::Ptr> new_exprs;
   std::vector<std::string> keep_meta;
   bool meta_all = true;
+  /// Keeps every attribute in order and adds none: regions pass unchanged.
+  bool same_regions = false;
 
   // EXTEND: aggregate specs plus their resolved input indexes.
   std::vector<AggregateSpec> aggregates;
@@ -78,6 +81,8 @@ Result<FusedTail> FusedTail::Bind(const PlanNode& node,
         }
         stage->keep_meta = params.keep_meta;
         stage->meta_all = params.meta_all;
+        stage->same_regions = Operators::ProjectKeepsRegions(
+            stage->keep_indexes, stage->new_exprs.size(), tail.schema_.size());
         tail.schema_ = std::move(schema);
         break;
       }
@@ -107,26 +112,24 @@ bool FusedTail::ApplySample(Sample* sample) const {
     switch (stage->kind) {
       case OpKind::kSelect: {
         if (!stage->select_meta->Eval(sample->metadata)) return false;
-        auto kept = std::remove_if(
-            sample->regions.begin(), sample->regions.end(),
-            [&](const GenomicRegion& r) {
-              return !stage->select_region->Eval(r);
-            });
-        sample->regions.erase(kept, sample->regions.end());
+        sample->regions = SelectRegions(sample->regions, *stage->select_region);
         break;
       }
       case OpKind::kProject: {
-        for (auto& r : sample->regions) {
-          std::vector<gdm::Value> values;
-          values.reserve(stage->keep_indexes.size() +
-                         stage->new_exprs.size());
-          for (size_t ki : stage->keep_indexes) {
-            values.push_back(r.values[ki]);
+        if (!stage->same_regions) {
+          // Writing the rows drops their (now stale) attribute columns.
+          for (auto& r : sample->regions.mutable_rows()) {
+            std::vector<gdm::Value> values;
+            values.reserve(stage->keep_indexes.size() +
+                           stage->new_exprs.size());
+            for (size_t ki : stage->keep_indexes) {
+              values.push_back(r.values[ki]);
+            }
+            for (const auto& expr : stage->new_exprs) {
+              values.push_back(expr->Eval(r));
+            }
+            r.values = std::move(values);
           }
-          for (const auto& expr : stage->new_exprs) {
-            values.push_back(expr->Eval(r));
-          }
-          r.values = std::move(values);
         }
         if (!stage->meta_all) {
           gdm::Metadata projected;
@@ -154,9 +157,6 @@ bool FusedTail::ApplySample(Sample* sample) const {
         break;
     }
   }
-  // Stages mutate regions in place; stale attribute columns must not
-  // survive the (size-preserving) PROJECT rewrite of region values.
-  sample->InvalidateCaches();
   return true;
 }
 

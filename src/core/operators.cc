@@ -113,10 +113,7 @@ Result<gdm::Dataset> Operators::Select(const SelectParams& params,
     if (!params.meta->Eval(s.metadata)) continue;
     Sample kept(s.id);
     kept.metadata = s.metadata;
-    kept.regions.reserve(s.regions.size());
-    for (const auto& r : s.regions) {
-      if (region_pred->Eval(r)) kept.regions.push_back(r);
-    }
+    kept.regions = SelectRegions(s.regions, *region_pred);
     out.AddSample(std::move(kept));
   }
   return out;
@@ -149,6 +146,8 @@ Result<gdm::Dataset> Operators::Project(const ProjectParams& params,
     exprs.push_back(std::move(expr));
   }
 
+  bool same_regions =
+      ProjectKeepsRegions(keep_indexes, exprs.size(), in.schema().size());
   Dataset out("PROJECT", schema);
   for (const auto& s : in.samples()) {
     Sample ns(s.id);
@@ -161,6 +160,11 @@ Result<gdm::Dataset> Operators::Project(const ProjectParams& params,
         }
       }
     }
+    if (same_regions) {
+      ns.regions = s.regions;  // shares the block and its columns
+      out.AddSample(std::move(ns));
+      continue;
+    }
     ns.regions.reserve(s.regions.size());
     for (const auto& r : s.regions) {
       GenomicRegion nr(r.chrom, r.left, r.right, r.strand);
@@ -172,6 +176,15 @@ Result<gdm::Dataset> Operators::Project(const ProjectParams& params,
     out.AddSample(std::move(ns));
   }
   return out;
+}
+
+bool Operators::ProjectKeepsRegions(const std::vector<size_t>& keep_indexes,
+                                    size_t new_attrs, size_t input_attrs) {
+  if (new_attrs != 0 || keep_indexes.size() != input_attrs) return false;
+  for (size_t i = 0; i < keep_indexes.size(); ++i) {
+    if (keep_indexes[i] != i) return false;
+  }
+  return true;
 }
 
 Result<gdm::Dataset> Operators::Extend(const ExtendParams& params,
@@ -468,9 +481,9 @@ gdm::Sample Operators::JoinPair(const JoinParams& params,
   Sample ns = DerivedSample("JOIN", left_sample, right_sample, true);
 
   const auto& pred = params.predicate;
+  std::vector<GenomicRegion>* out = &ns.regions.mutable_rows();
   auto emit = [&](size_t li, size_t ri) {
-    JoinEmit(params, left_sample.regions[li], right_sample.regions[ri],
-             &ns.regions);
+    JoinEmit(params, left_sample.regions[li], right_sample.regions[ri], out);
   };
 
   if (pred.md_k > 0) {

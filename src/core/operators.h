@@ -23,6 +23,12 @@ class Operators {
                                      const gdm::Dataset& in);
   static Result<gdm::Dataset> Project(const ProjectParams& params,
                                       const gdm::Dataset& in);
+  /// True when a PROJECT keeping the input attributes at `keep_indexes`
+  /// and adding `new_attrs` computed ones leaves every region unchanged
+  /// (all `input_attrs` kept, in order, none added): its output then shares
+  /// the input's region blocks.
+  static bool ProjectKeepsRegions(const std::vector<size_t>& keep_indexes,
+                                  size_t new_attrs, size_t input_attrs);
   static Result<gdm::Dataset> Extend(const ExtendParams& params,
                                      const gdm::Dataset& in);
   static Result<gdm::Dataset> Merge(const MergeParams& params,

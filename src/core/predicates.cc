@@ -167,6 +167,7 @@ class RegionTrue final : public RegionPredicate {
   Status Bind(const gdm::RegionSchema&) override { return Status::OK(); }
   bool Eval(const gdm::GenomicRegion&) const override { return true; }
   std::string ToString() const override { return "true"; }
+  bool IsTrue() const override { return true; }
   Ptr Clone() const override { return std::make_shared<RegionTrue>(); }
 };
 
@@ -283,6 +284,23 @@ class RegionNot final : public RegionPredicate {
 };
 
 }  // namespace
+
+gdm::RegionVec SelectRegions(const gdm::RegionVec& in,
+                             const RegionPredicate& pred) {
+  if (pred.IsTrue()) return in;
+  const std::vector<gdm::GenomicRegion>& rows = in;
+  size_t i = 0;
+  while (i < rows.size() && pred.Eval(rows[i])) ++i;
+  if (i == rows.size()) return in;
+  // Reserved to the input size: the capacity a filtering copy always had.
+  std::vector<gdm::GenomicRegion> out;
+  out.reserve(rows.size());
+  for (size_t k = 0; k < i; ++k) out.push_back(rows[k]);
+  for (++i; i < rows.size(); ++i) {
+    if (pred.Eval(rows[i])) out.push_back(rows[i]);
+  }
+  return out;
+}
 
 RegionPredicate::Ptr RegionPredicate::True() {
   return std::make_shared<RegionTrue>();

@@ -55,6 +55,9 @@ class RegionPredicate {
   virtual Status Bind(const gdm::RegionSchema& schema) = 0;
   virtual bool Eval(const gdm::GenomicRegion& region) const = 0;
   virtual std::string ToString() const = 0;
+  /// True only for the TRUE predicate (a metadata-only SELECT), which
+  /// SelectRegions answers without visiting a row.
+  virtual bool IsTrue() const { return false; }
 
   using Ptr = std::shared_ptr<RegionPredicate>;
 
@@ -69,6 +72,13 @@ class RegionPredicate {
   /// before binding).
   virtual Ptr Clone() const = 0;
 };
+
+/// The regions of `in` that satisfy the bound predicate `pred`, in order:
+/// SELECT's region filter for every executor. When every region is kept
+/// (always, for the TRUE predicate) the result shares `in`'s block and its
+/// built columns instead of copying the rows.
+gdm::RegionVec SelectRegions(const gdm::RegionVec& in,
+                             const RegionPredicate& pred);
 
 /// \brief Arithmetic expression over a region, for PROJECT's new attributes.
 ///

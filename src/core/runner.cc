@@ -135,8 +135,8 @@ void QueryRunner::RegisterDataset(gdm::Dataset dataset) {
       sources_.insert_or_assign(std::move(name), std::move(dataset));
   (void)inserted;
   gdm::Dataset* ds = &it->second;
-  // Row storage is immutable once registered, so its (O(regions)) estimate
-  // is computed once here; only the columnar-cache occupancy is live.
+  // Row storage is immutable once registered, so its estimate is taken
+  // once here; only the columnar-cache occupancy is live.
   uint64_t row_bytes = ds->EstimateResidentBytes();
   uint64_t token = tracker.RegisterStorage(
       it->first,
@@ -408,7 +408,10 @@ Result<const gdm::Dataset*> QueryRunner::Evaluate(
     GDMS_ASSIGN_OR_RETURN(out, executor_->Execute(*node, inputs));
   }
   if (account != nullptr) {
-    uint64_t out_bytes = out.EstimateResidentBytes();
+    // Only the region blocks this operator created (plus all metadata) are
+    // new memory: blocks shared with an input were charged where they were
+    // built, or belong to a source dataset.
+    uint64_t out_bytes = out.EstimateResidentBytesBeyond(inputs);
     account->Charge(out_bytes);
     if (span.active()) {
       span.AddAttr("out_bytes", static_cast<double>(out_bytes));

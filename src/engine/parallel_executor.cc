@@ -344,10 +344,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelSelect(
     const Sample& s = *kept[si];
     Sample ns(s.id);
     ns.metadata = s.metadata;
-    ns.regions.reserve(s.regions.size());
-    for (const auto& r : s.regions) {
-      if (pred->Eval(r)) ns.regions.push_back(r);
-    }
+    ns.regions = core::SelectRegions(s.regions, *pred);
     if (fused != nullptr && !tail.ApplySample(&ns)) emit[si] = 0;
     results[si] = std::move(ns);
   });
@@ -482,11 +479,12 @@ Result<gdm::Dataset> ParallelExecutor::ParallelDifference(
     const Sample& ls = left.sample(si);
     Sample ns(ls.id);
     ns.metadata = ls.metadata;
+    std::vector<GenomicRegion> rows;
     for (size_t ti = task_range[si].first; ti < task_range[si].second; ++ti) {
-      ns.regions.insert(ns.regions.end(),
-                        std::make_move_iterator(kept[ti].begin()),
-                        std::make_move_iterator(kept[ti].end()));
+      rows.insert(rows.end(), std::make_move_iterator(kept[ti].begin()),
+                  std::make_move_iterator(kept[ti].end()));
     }
+    ns.regions = std::move(rows);
     if (fused != nullptr && !tail.ApplySample(&ns)) emit[si] = 0;
     results[si] = std::move(ns);
   });
@@ -551,9 +549,11 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
   auto assemble = [&](const Sample& rs, const Sample& es,
                       std::vector<std::vector<Value>>& agg_values) {
     Sample ns = Operators::DerivedSample("MAP", rs, es, false);
-    ns.regions.reserve(rs.regions.size());
-    for (size_t ri = 0; ri < rs.regions.size(); ++ri) {
-      GenomicRegion nr = rs.regions[ri];
+    const std::vector<GenomicRegion>& refs = rs.regions;
+    std::vector<GenomicRegion> rows;
+    rows.reserve(refs.size());
+    for (size_t ri = 0; ri < refs.size(); ++ri) {
+      GenomicRegion nr = refs[ri];
       if (agg_values[ri].empty()) {
         // Ref region fell into a partition with no exps; finish empty accs.
         for (const auto& spec : specs) {
@@ -562,8 +562,9 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
       } else {
         for (auto& v : agg_values[ri]) nr.values.push_back(std::move(v));
       }
-      ns.regions.push_back(std::move(nr));
+      rows.push_back(std::move(nr));
     }
+    ns.regions = std::move(rows);
     return ns;
   };
 
@@ -714,9 +715,11 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
     Sample ns;
     if (use_columnar) {
       ns = Operators::DerivedSample("MAP", *ps.rs, *ps.es, false);
-      ns.regions.reserve(ps.rs->regions.size());
-      for (size_t ri = 0; ri < ps.rs->regions.size(); ++ri) {
-        const GenomicRegion& src = ps.rs->regions[ri];
+      const std::vector<GenomicRegion>& refs = ps.rs->regions;
+      std::vector<GenomicRegion> rows;
+      rows.reserve(refs.size());
+      for (size_t ri = 0; ri < refs.size(); ++ri) {
+        const GenomicRegion& src = refs[ri];
         GenomicRegion nr(src.chrom, src.left, src.right, src.strand);
         nr.values.reserve(src.values.size() + specs.size());
         nr.values.insert(nr.values.end(), src.values.begin(),
@@ -725,8 +728,9 @@ Result<gdm::Dataset> ParallelExecutor::ParallelMap(
           nr.values.push_back(
               ps.moments[x].Finish(specs[x].func, ri, ps.match_count[ri]));
         }
-        ns.regions.push_back(std::move(nr));
+        rows.push_back(std::move(nr));
       }
+      ns.regions = std::move(rows);
     } else {
       ns = assemble(*ps.rs, *ps.es, ps.agg_values);
     }
@@ -851,12 +855,13 @@ Result<gdm::Dataset> ParallelExecutor::ParallelJoin(
   RunStage("join:assemble", pairs.size(), [&](size_t p) {
     const PairState& ps = pairs[p];
     Sample ns = Operators::DerivedSample("JOIN", *ps.ls, *ps.rs, true);
+    std::vector<GenomicRegion> rows;
     for (size_t pi = ps.part_begin; pi < ps.part_end; ++pi) {
-      ns.regions.insert(ns.regions.end(),
-                        std::make_move_iterator(chunk_out[pi].begin()),
-                        std::make_move_iterator(chunk_out[pi].end()));
+      rows.insert(rows.end(), std::make_move_iterator(chunk_out[pi].begin()),
+                  std::make_move_iterator(chunk_out[pi].end()));
     }
-    ns.SortNow();
+    gdm::SortRegions(&rows);
+    ns.regions = std::move(rows);
     if (fused != nullptr && !tail.ApplySample(&ns)) emit[p] = 0;
     results[p] = std::move(ns);
   });
@@ -1087,6 +1092,7 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
     Sample ns = Operators::DerivedGroupSample(
         core::CoverVariantName(params.variant), g.members);
     if (!params.groupby.empty()) ns.metadata.Add(params.groupby, g.key);
+    std::vector<GenomicRegion> rows;
     for (size_t si = 0; si < g.segs.size(); ++si) {
       SegState& state = states[g.seg_offset + si];
       for (size_t oi = 0; oi < state.regions.size(); ++oi) {
@@ -1095,9 +1101,10 @@ Result<gdm::Dataset> ParallelExecutor::ParallelCover(
         if (!params.aggregates.empty()) {
           for (auto& v : state.aggs[oi]) nr.values.push_back(std::move(v));
         }
-        ns.regions.push_back(std::move(nr));
+        rows.push_back(std::move(nr));
       }
     }
+    ns.regions = std::move(rows);
     return ns;
   };
 

@@ -3,55 +3,8 @@
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "obs/metrics.h"
 
 namespace gdms::gdm {
-
-namespace {
-
-// Cumulative bytes of columnar caches built (the cache-build winners only;
-// racing losers drop their copy without counting). Paired with
-// gdms_mem_columnar_cache_bytes (current occupancy, sampled by the resource
-// tracker) and gdms_mem_evicted_bytes_total this exposes cache churn.
-obs::Counter* ColumnarBuiltCounter() {
-  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
-      "gdms_mem_columnar_built_bytes_total");
-  return c;
-}
-
-}  // namespace
-
-const RegionColumns& Sample::columns(const RegionSchema& schema) const {
-  auto cached =
-      std::atomic_load_explicit(&columns_cache_, std::memory_order_acquire);
-  if (cached != nullptr && cached->ValidFor(regions)) return *cached;
-  auto built = std::make_shared<const RegionColumns>(
-      RegionColumns::Build(regions, schema));
-  if (std::atomic_compare_exchange_strong_explicit(
-          &columns_cache_, &cached, built, std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    ColumnarBuiltCounter()->Add(built->MemoryBytes());
-    return *built;
-  }
-  if (cached != nullptr && cached->ValidFor(regions)) return *cached;
-  std::atomic_store_explicit(&columns_cache_, built,
-                             std::memory_order_release);
-  ColumnarBuiltCounter()->Add(built->MemoryBytes());
-  return *built;
-}
-
-uint64_t Sample::ColumnarCacheBytes() const {
-  auto cached =
-      std::atomic_load_explicit(&columns_cache_, std::memory_order_acquire);
-  return cached != nullptr ? cached->MemoryBytes() : 0;
-}
-
-uint64_t Sample::EvictColumns() const {
-  auto cached = std::atomic_exchange_explicit(
-      &columns_cache_, std::shared_ptr<const RegionColumns>(),
-      std::memory_order_acq_rel);
-  return cached != nullptr ? cached->MemoryBytes() : 0;
-}
 
 uint64_t Dataset::TotalRegions() const {
   uint64_t total = 0;
@@ -117,21 +70,37 @@ uint64_t Dataset::EstimateBytes() const {
   return total;
 }
 
+namespace {
+
+uint64_t MetadataResidentBytes(const Metadata& metadata) {
+  uint64_t total = 0;
+  for (const auto& e : metadata.entries()) {
+    total += sizeof(e) + e.attr.capacity() + e.value.capacity();
+  }
+  return total;
+}
+
+}  // namespace
+
 uint64_t Dataset::EstimateResidentBytes() const {
   uint64_t total = 0;
   for (const auto& s : samples_) {
-    total += s.regions.capacity() * sizeof(GenomicRegion);
-    for (const auto& r : s.regions) {
-      total += r.values.capacity() * sizeof(Value);
-      for (const auto& v : r.values) {
-        // Strings beyond the SSO buffer own a heap block.
-        if (v.is_string() && v.AsString().size() > 15) {
-          total += v.AsString().capacity();
-        }
-      }
-    }
-    for (const auto& e : s.metadata.entries()) {
-      total += sizeof(e) + e.attr.capacity() + e.value.capacity();
+    total += s.regions.ResidentBytes() + MetadataResidentBytes(s.metadata);
+  }
+  return total;
+}
+
+uint64_t Dataset::EstimateResidentBytesBeyond(
+    const std::vector<const Dataset*>& inputs) const {
+  std::unordered_set<const RegionBlock*> counted;
+  for (const Dataset* in : inputs) {
+    for (const auto& s : in->samples()) counted.insert(s.regions.block());
+  }
+  uint64_t total = 0;
+  for (const auto& s : samples_) {
+    total += MetadataResidentBytes(s.metadata);
+    if (counted.insert(s.regions.block()).second) {
+      total += s.regions.ResidentBytes();
     }
   }
   return total;

@@ -1,7 +1,6 @@
 #ifndef GDMS_GDM_DATASET_H_
 #define GDMS_GDM_DATASET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -10,6 +9,7 @@
 #include "common/status.h"
 #include "gdm/metadata.h"
 #include "gdm/region.h"
+#include "gdm/region_block.h"
 #include "gdm/region_columns.h"
 #include "gdm/schema.h"
 
@@ -25,65 +25,48 @@ using SampleId = uint64_t;
 /// The sample id is the many-to-many connection between regions and metadata
 /// (Figure 2). Regions are kept coordinate-sorted by convention; operations
 /// that construct samples call SortNow() (or produce sorted output directly).
+///
+/// `regions` is a copy-on-write handle to a shared, immutable RegionBlock
+/// (gdm/region_block.h): copying a Sample shares its rows and their cached
+/// columns; writing through `regions` first gives the sample a private copy.
 struct Sample {
   SampleId id = 0;
   Metadata metadata;
-  std::vector<GenomicRegion> regions;
+  RegionVec regions;
 
   Sample() = default;
   explicit Sample(SampleId sample_id) : id(sample_id) {}
 
   size_t num_regions() const { return regions.size(); }
 
-  void SortNow() {
-    SortRegions(&regions);
-    InvalidateCaches();
-  }
+  void SortNow() { SortRegions(&regions.mutable_rows()); }
   bool IsSorted() const { return RegionsSorted(regions); }
 
-  /// The cached columnar (SoA) layout over `regions` (see
-  /// gdm/region_columns.h), built lazily against `schema` on first use. Its
-  /// chunk directory is the sample's one per-chromosome index: row range
-  /// and max region length per chromosome.
-  ///
-  /// The cache self-invalidates when the region vector's storage or size
-  /// changes (append, copy, reassignment); after IN-PLACE coordinate or
-  /// value mutation callers must call InvalidateCaches() (SortNow does so).
-  /// Lazy building is thread-safe: concurrent first callers may each build
-  /// the columns, but publication is an atomic compare-exchange, so every
-  /// caller sees fully built columns and the parallel engine can fan out
-  /// over untouched samples directly. The returned reference stays valid
-  /// until the cache is invalidated — invalidating while other threads read
-  /// the sample is a caller contract violation. The caller must pass the
-  /// owning dataset's schema every time; a schema change without a
-  /// region-storage change is not detected.
-  const RegionColumns& columns(const RegionSchema& schema) const;
-
-  /// Resident bytes of the cached columnar layout (0 when not built).
-  /// Safe to call concurrently with readers: reads the atomically
-  /// published cache pointer only.
-  uint64_t ColumnarCacheBytes() const;
-
-  /// Drops the cached columnar layout, returning the bytes freed. The next
-  /// columns() call rebuilds the same columns from the untouched row
-  /// storage, so results are bit-identical; the resource shedder calls this
-  /// between queries under memory pressure. Same caller contract as
-  /// InvalidateCaches: must not race readers holding references into the
-  /// cache.
-  uint64_t EvictColumns() const;
-
-  /// Drops the cached columnar layout; the next columns() call rebuilds it.
-  void InvalidateCaches() const {
-    std::atomic_store_explicit(&columns_cache_,
-                               std::shared_ptr<const RegionColumns>(),
-                               std::memory_order_release);
+  /// The columnar (SoA) layout of the regions (gdm/region_columns.h),
+  /// cached on the region block and so shared by every sample holding the
+  /// block (RegionBlock::columns). Its chunk directory is the sample's one
+  /// per-chromosome index: row range and max region length per chromosome.
+  /// Writes that change the row vector drop the cache (RegionVec); after
+  /// writing coordinates or values through element references, call
+  /// InvalidateCaches() (SortNow does). The caller must pass the owning
+  /// dataset's schema every time.
+  const RegionColumns& columns(const RegionSchema& schema) const {
+    return regions.block()->columns(schema);
   }
 
- private:
-  // Lazily built cache, published with the std::atomic_* shared_ptr free
-  // functions so concurrent lazy builds race benignly (one winner, losers
-  // drop their copy).
-  mutable std::shared_ptr<const RegionColumns> columns_cache_;
+  /// Resident bytes of the block's cached columns (0 when not built).
+  uint64_t ColumnarCacheBytes() const {
+    return regions.block()->ColumnarCacheBytes();
+  }
+
+  /// Drops the block's cached columns, for every sample sharing the block,
+  /// returning the bytes freed (RegionBlock::EvictColumns: only while no
+  /// query is running).
+  uint64_t EvictColumns() const { return regions.block()->EvictColumns(); }
+
+  /// Makes the regions private to this sample and drops their caches; the
+  /// next columns() call rebuilds them.
+  void InvalidateCaches() { regions.mutable_rows(); }
 };
 
 /// \brief A named dataset: samples sharing one region schema.
@@ -129,9 +112,18 @@ class Dataset {
   uint64_t EstimateBytes() const;
 
   /// Estimated in-memory (resident) bytes of the row representation:
-  /// region structs, their Value payload vectors and string heap, metadata.
-  /// The columnar caches are not included.
+  /// region structs, their Value payload vectors and string heap
+  /// (RegionBlock::ResidentBytes, cached per block), and metadata. O(samples
+  /// + metadata entries); a block shared by several samples counts once per
+  /// sample. The columnar caches are not included.
   uint64_t EstimateResidentBytes() const;
+
+  /// The part of EstimateResidentBytes() this dataset does not share with
+  /// `inputs`: every region block no input sample holds, each counted once,
+  /// plus all metadata. This is what an operator that read `inputs` and
+  /// produced this dataset allocated; the query runner charges it.
+  uint64_t EstimateResidentBytesBeyond(
+      const std::vector<const Dataset*>& inputs) const;
 
   /// Resident bytes of the samples' built columnar caches (the reclaimable
   /// overlay the resource shedder may drop; 0 when nothing is built).

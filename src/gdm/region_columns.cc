@@ -130,7 +130,6 @@ RegionColumns RegionColumns::Build(const std::vector<GenomicRegion>& regions,
   assert(RegionsSorted(regions));
   RegionColumns cols;
   cols.size_ = regions.size();
-  cols.data_ = regions.data();
   const size_t n = regions.size();
 
   bool narrow = true;

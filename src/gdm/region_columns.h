@@ -83,8 +83,8 @@ class ValueColumn {
 /// one dictionary byte per row and each schema attribute as a ValueColumn.
 ///
 /// Built in one pass over a coordinate-sorted region list and cached on the
-/// owning Sample (Sample::columns()); the chunk directory serves both the
-/// columnar kernels and the row paths' partitioning.
+/// sample's shared RegionBlock (Sample::columns()); the chunk directory
+/// serves both the columnar kernels and the row paths' partitioning.
 class RegionColumns {
  public:
   RegionColumns() = default;
@@ -141,13 +141,6 @@ class RegionColumns {
   /// Resident bytes of the columnar form (vectors + dictionaries).
   uint64_t MemoryBytes() const;
 
-  /// True when the columns still describe `regions` storage-wise (same
-  /// data pointer and size). In-place mutation is NOT detected — mutators
-  /// must call Sample::InvalidateCaches() (SortNow does).
-  bool ValidFor(const std::vector<GenomicRegion>& regions) const {
-    return data_ == regions.data() && size_ == regions.size();
-  }
-
  private:
   size_t size_ = 0;
   bool narrow_ = true;
@@ -156,13 +149,11 @@ class RegionColumns {
   std::vector<uint8_t> strands_;
   std::vector<ColumnChunk> chunks_;  // ordered by chrom (input is sorted)
   /// One lazily published slot per schema attribute; see attr(). The source
-  /// region vector outlives the columns for every construction path (the
-  /// Sample cache revalidates against it via ValidFor before handing the
-  /// columns out).
+  /// region vector outlives the columns for every construction path (a
+  /// RegionBlock's columns read the rows vector of the same block).
   mutable std::vector<std::shared_ptr<const ValueColumn>> attrs_;
   std::vector<AttrType> attr_types_;
   const std::vector<GenomicRegion>* source_ = nullptr;
-  const GenomicRegion* data_ = nullptr;
 
   friend class RegionColumnsBuilder;
 };

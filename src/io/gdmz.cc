@@ -833,11 +833,11 @@ bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
     }
   }
 
-  sample->regions.resize(n);
+  std::vector<GenomicRegion> rows(n);
   size_t i = 0;
   for (const auto& c : chunks) {
     for (size_t k = 0; k < c.count; ++k, ++i) {
-      GenomicRegion& reg = sample->regions[i];
+      GenomicRegion& reg = rows[i];
       reg.chrom = c.chrom;
       reg.left = lefts[i];
       reg.right = rights[i];
@@ -850,6 +850,7 @@ bool DecodeSampleBlob(ByteReader* r, const std::vector<int32_t>& chrom_ids,
       }
     }
   }
+  sample->regions = std::move(rows);
   return true;
 }
 
@@ -901,7 +902,7 @@ std::string WriteGdmzString(const gdm::Dataset& dataset) {
   for (const auto& s : dataset.samples()) {
     while ((kGdmzHeaderSize + body.size()) % 64 != 0) body_writer.PutByte(0);
     uint64_t offset = kGdmzHeaderSize + body.size();
-    const std::vector<GenomicRegion>* regions = &s.regions;
+    const std::vector<GenomicRegion>* regions = &s.regions.rows();
     if (!gdm::RegionsSorted(s.regions)) {
       scratch = s.regions;
       gdm::SortRegions(&scratch);

@@ -35,6 +35,20 @@ uint64_t EstimateResultBytes(const ResultCache::Results& value) {
   return bytes;
 }
 
+/// The bytes `value` holds that neither `inputs` nor an earlier dataset of
+/// `value` shares: what evicting the entry frees.
+uint64_t EstimateOwnedBytes(const ResultCache::Results& value,
+                            std::vector<const gdm::Dataset*> inputs) {
+  uint64_t bytes = 0;
+  if (value != nullptr) {
+    for (const auto& [name, ds] : *value) {
+      bytes += ds.EstimateResidentBytesBeyond(inputs);
+      inputs.push_back(&ds);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
 
 ResultCache::ResultCache(uint64_t max_bytes) : max_bytes_(max_bytes) {
@@ -44,7 +58,7 @@ ResultCache::ResultCache(uint64_t max_bytes) : max_bytes_(max_bytes) {
       "result_cache",
       [this] {
         obs::StorageUsage usage;
-        usage.columnar_bytes = bytes();
+        usage.columnar_bytes = stats().owned_bytes;
         return usage;
       },
       [this](uint64_t want_bytes) { return Shed(want_bytes); });
@@ -69,18 +83,25 @@ ResultCache::Results ResultCache::Get(const std::string& key) {
 }
 
 void ResultCache::Put(const std::string& key,
-                      const std::vector<std::string>& sources, Results value) {
+                      const std::vector<std::string>& sources,
+                      const std::vector<const gdm::Dataset*>& inputs,
+                      Results value) {
   uint64_t bytes = EstimateResultBytes(value);
+  uint64_t owned_bytes = EstimateOwnedBytes(value, inputs);
   std::lock_guard<std::mutex> lk(mu_);
   Entry& entry = entries_[key];
-  bytes_ -= entry.bytes;  // replacement: drop the old figure first
+  // Replacement: drop the old figures first.
+  bytes_ -= entry.bytes;
+  owned_bytes_ -= entry.owned_bytes;
   entry.value = std::move(value);
   entry.sources = sources;
   entry.bytes = bytes;
+  entry.owned_bytes = owned_bytes;
   entry.last_touch = ++touch_clock_;
   bytes_ += bytes;
+  owned_bytes_ += owned_bytes;
   if (max_bytes_ > 0 && bytes_ > max_bytes_) {
-    ShedLocked(bytes_ - max_bytes_, /*count_as_eviction=*/true);
+    ShedLocked(bytes_ - max_bytes_, &Entry::bytes);
   }
 }
 
@@ -90,6 +111,7 @@ void ResultCache::InvalidateDataset(const std::string& name) {
     const std::vector<std::string>& sources = it->second.sources;
     if (std::find(sources.begin(), sources.end(), name) != sources.end()) {
       bytes_ -= it->second.bytes;
+      owned_bytes_ -= it->second.owned_bytes;
       it = entries_.erase(it);
       ++invalidations_;
       ResultMetrics::Get().invalidations->Add();
@@ -103,15 +125,16 @@ void ResultCache::Clear() {
   std::lock_guard<std::mutex> lk(mu_);
   entries_.clear();
   bytes_ = 0;
+  owned_bytes_ = 0;
 }
 
 uint64_t ResultCache::Shed(uint64_t want_bytes) {
   std::lock_guard<std::mutex> lk(mu_);
-  return ShedLocked(want_bytes, /*count_as_eviction=*/true);
+  return ShedLocked(want_bytes, &Entry::owned_bytes);
 }
 
 uint64_t ResultCache::ShedLocked(uint64_t want_bytes,
-                                 bool count_as_eviction) {
+                                 uint64_t Entry::*figure) {
   uint64_t freed = 0;
   while (freed < want_bytes && !entries_.empty()) {
     auto coldest = entries_.end();
@@ -121,13 +144,12 @@ uint64_t ResultCache::ShedLocked(uint64_t want_bytes,
         coldest = it;
       }
     }
-    freed += coldest->second.bytes;
+    freed += coldest->second.*figure;
     bytes_ -= coldest->second.bytes;
+    owned_bytes_ -= coldest->second.owned_bytes;
     entries_.erase(coldest);
-    if (count_as_eviction) {
-      ++evictions_;
-      ResultMetrics::Get().evictions->Add();
-    }
+    ++evictions_;
+    ResultMetrics::Get().evictions->Add();
   }
   return freed;
 }
@@ -141,12 +163,8 @@ ResultCache::Stats ResultCache::stats() const {
   s.evictions = evictions_;
   s.entries = entries_.size();
   s.bytes = bytes_;
+  s.owned_bytes = owned_bytes_;
   return s;
-}
-
-uint64_t ResultCache::bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return bytes_;
 }
 
 std::string ResultCache::RenderSummary() const {

@@ -384,7 +384,11 @@ void SessionManager::RunJob(Job* job) {
               std::make_shared<const std::map<std::string, gdm::Dataset>>(
                   std::move(run).value());
           if (cache_results) {
-            result_cache_.Put(key, prepared.sources, resp.results);
+            std::vector<const gdm::Dataset*> inputs;
+            for (const auto& [name, snap] : pins) {
+              inputs.push_back(snap.data.get());
+            }
+            result_cache_.Put(key, prepared.sources, inputs, resp.results);
           }
         }
       }

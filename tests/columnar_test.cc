@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <random>
 #include <thread>
 
@@ -412,6 +413,198 @@ TEST(ColumnarCacheTest, ConcurrentLazyBuildIsSafe) {
       EXPECT_EQ(chunk_counts[t], s.columns(schema).chunks().size());
     }
   }
+}
+
+
+// ------------------------------------------------------ shared region blocks
+
+/// The resident-byte formula, walked from scratch over every region.
+uint64_t FreshResidentWalk(const Dataset& ds) {
+  uint64_t total = 0;
+  for (const auto& s : ds.samples()) {
+    total += s.regions.capacity() * sizeof(GenomicRegion);
+    for (const auto& r : s.regions) {
+      total += r.values.capacity() * sizeof(Value);
+      for (const auto& v : r.values) {
+        if (v.is_string() && v.AsString().size() > 15) {
+          total += v.AsString().capacity();
+        }
+      }
+    }
+    for (const auto& e : s.metadata.entries()) {
+      total += sizeof(e) + e.attr.capacity() + e.value.capacity();
+    }
+  }
+  return total;
+}
+
+/// One query's single output, run on the reference executor (null
+/// `parallel`) or on a ParallelExecutor, over a runner holding copies of
+/// `sources` (copies share the sources' region blocks).
+Dataset RunOne(core::Executor* parallel, const std::vector<Dataset>& sources,
+               const std::string& gmql) {
+  auto runner = parallel != nullptr
+                    ? std::make_unique<core::QueryRunner>(parallel)
+                    : std::make_unique<core::QueryRunner>();
+  for (const auto& ds : sources) runner->RegisterDataset(ds);
+  auto out = runner->Run(gmql);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok() || out.value().size() != 1) return Dataset();
+  return out.value().begin()->second;
+}
+
+// Metadata-only SELECT, a region SELECT whose predicate keeps every region,
+// EXTEND and a keep-all PROJECT hand each output sample its input's block:
+// same RegionBlock, same built columns, on both executors.
+TEST(RegionSharingTest, KeepAllOperatorsShareInputBlocks) {
+  std::vector<Dataset> sources = SimSources();
+  const Dataset& encode = sources[0];
+  for (const auto& s : encode.samples()) (void)s.columns(encode.schema());
+  const char* kQueries[] = {
+      "S = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE S;",
+      "S = SELECT(dataType == 'ChipSeq'; region: left >= 0) ENCODE; "
+      "MATERIALIZE S;",
+      "E = EXTEND(n AS COUNT, m AS MAX(p_value)) ENCODE; MATERIALIZE E;",
+      "P = PROJECT(*) ENCODE; MATERIALIZE P;",
+  };
+  engine::EngineOptions options;
+  options.threads = 4;
+  engine::ParallelExecutor parallel(options);
+  for (core::Executor* executor :
+       std::vector<core::Executor*>{nullptr, &parallel}) {
+    for (const char* gmql : kQueries) {
+      SCOPED_TRACE(std::string(executor ? "parallel: " : "reference: ") +
+                   gmql);
+      Dataset out = RunOne(executor, sources, gmql);
+      ASSERT_EQ(out.num_samples(), encode.num_samples());
+      for (const auto& s : out.samples()) {
+        const Sample* in = encode.FindSample(s.id);
+        ASSERT_NE(in, nullptr);
+        EXPECT_EQ(s.regions.block(), in->regions.block());
+        EXPECT_EQ(&s.columns(out.schema()), &in->columns(encode.schema()));
+      }
+    }
+  }
+}
+
+// A region SELECT that drops rows builds new blocks, and the cached
+// resident figure of every block (shared, filtered, MAP-built, written in
+// place) equals a fresh walk of the rows.
+TEST(RegionSharingTest, CachedResidentBytesMatchFreshWalk) {
+  std::vector<Dataset> sources = SimSources();
+  engine::EngineOptions options;
+  options.threads = 4;
+  engine::ParallelExecutor parallel(options);
+  const char* kQueries[] = {
+      "S = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE S;",
+      "S = SELECT(region: signal >= 6) ENCODE; MATERIALIZE S;",
+      "M = MAP(n AS COUNT, a AS AVG(signal)) ANNOTATIONS ENCODE; "
+      "MATERIALIZE M;",
+      "C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
+  };
+  for (core::Executor* executor :
+       std::vector<core::Executor*>{nullptr, &parallel}) {
+    for (const char* gmql : kQueries) {
+      SCOPED_TRACE(gmql);
+      Dataset out = RunOne(executor, sources, gmql);
+      ASSERT_GT(out.num_samples(), 0u);
+      EXPECT_EQ(out.EstimateResidentBytes(), FreshResidentWalk(out));
+      // An in-place write drops the figure; the next read re-walks.
+      out.mutable_sample(0)->regions.push_back(
+          GenomicRegion(InternChrom("chr1"), 1, 2, Strand::kNone,
+                        std::vector<Value>(out.schema().size())));
+      EXPECT_EQ(out.EstimateResidentBytes(), FreshResidentWalk(out));
+    }
+  }
+  EXPECT_EQ(sources[0].EstimateResidentBytes(),
+            FreshResidentWalk(sources[0]));
+}
+
+// Writing through a sample that shares its block detaches it: the writer
+// gets a private copy, the other sample stays bit-identical and keeps its
+// columns object.
+TEST(RegionSharingTest, WriteDetachesAndLeavesSharerUntouched) {
+  std::vector<Dataset> sources = SimSources();
+  const Dataset& encode = sources[0];
+  const Sample& in = encode.sample(0);
+  const RegionColumns* in_cols = &in.columns(encode.schema());
+  const std::string before = io::WriteGdmString(encode);
+
+  Sample shared = in;  // a copy shares the block
+  ASSERT_EQ(shared.regions.block(), in.regions.block());
+  shared.regions[0].left += 1;
+  shared.regions.push_back(shared.regions[0]);
+  EXPECT_NE(shared.regions.block(), in.regions.block());
+  EXPECT_EQ(shared.regions.size(), in.regions.size() + 1);
+  EXPECT_EQ(shared.regions[0].left, in.regions[0].left + 1);
+
+  EXPECT_EQ(io::WriteGdmString(encode), before);
+  EXPECT_EQ(&in.columns(encode.schema()), in_cols);
+
+  // InvalidateCaches on a sharer detaches too instead of dropping the
+  // columns every other sharer reads.
+  Sample again = in;
+  again.InvalidateCaches();
+  EXPECT_NE(again.regions.block(), in.regions.block());
+  EXPECT_EQ(&in.columns(encode.schema()), in_cols);
+}
+
+// Two samples sharing one block race the block's lazy column build (and an
+// attribute column): every caller sees the same fully built columns. Run
+// under `ctest -L tsan` to verify with ThreadSanitizer.
+TEST(RegionSharingTest, SharersBuildColumnsConcurrently) {
+  std::mt19937 rng(31);
+  RegionSchema schema;
+  ASSERT_TRUE(schema.AddAttr("x", AttrType::kInt).ok());
+  for (int round = 0; round < 5; ++round) {
+    Sample a(1);
+    a.regions = RandomRegions(&rng, 400, 4, 500000, 2000);
+    for (auto& r : a.regions) r.values = {Value(int64_t{1})};
+    const Sample b = a;
+    ASSERT_EQ(a.regions.block(), b.regions.block());
+    constexpr int kThreads = 8;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> workers;
+    std::vector<const RegionColumns*> seen(kThreads);
+    std::vector<size_t> attr_sizes(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        const Sample& s = t % 2 == 0 ? static_cast<const Sample&>(a) : b;
+        const RegionColumns& cols = s.columns(schema);
+        seen[t] = &cols;
+        attr_sizes[t] = cols.attr(0).size();
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], seen[0]);
+      EXPECT_EQ(attr_sizes[t], a.regions.size());
+    }
+  }
+}
+
+// The runner charges an operator for the blocks it created: a metadata-only
+// SELECT creates none, so its charge is exactly its output's metadata.
+TEST(RegionSharingTest, MetadataOnlySelectChargesOnlyMetadata) {
+  core::QueryRunner runner;
+  for (auto& ds : SimSources()) runner.RegisterDataset(std::move(ds));
+  auto results = runner.Run(
+      "S = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE S;");
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  const Dataset& out = results.value().at("S");
+  uint64_t metadata_bytes = 0;
+  for (const auto& s : out.samples()) {
+    for (const auto& e : s.metadata.entries()) {
+      metadata_bytes += sizeof(e) + e.attr.capacity() + e.value.capacity();
+    }
+  }
+  ASSERT_GT(metadata_bytes, 0u);
+  EXPECT_EQ(runner.last_stats().alloc_bytes, metadata_bytes);
+  EXPECT_EQ(runner.last_stats().peak_bytes, metadata_bytes);
+  EXPECT_LT(metadata_bytes, out.EstimateResidentBytes());
 }
 
 }  // namespace

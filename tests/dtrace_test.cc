@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/dtrace.h"
@@ -382,14 +385,25 @@ TEST(ServeTrace, ShedQueryEmitsMinimalTraceWithQueueSegment) {
   serve::ServeOptions opt;
   opt.workers = 1;
   serve::SessionManager manager(&catalog, opt);
-  // Occupy the single worker so the deadlined query expires in the queue
-  // (COVER over the generated peaks takes well over 10us).
-  auto id = manager.Submit("C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
-                           [](const serve::ServeResponse&) {});
+  // Hold the single worker: the first job's response callback runs on that
+  // worker and waits on a latch the test opens only once the deadlined
+  // query is queued and its 10 us deadline has passed, so the query
+  // expires in the queue however the OS schedules this thread.
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  auto id = manager.Submit(
+      "C = COVER(2, ANY) ENCODE; MATERIALIZE C;",
+      [opened](const serve::ServeResponse&) { opened.wait(); });
   ASSERT_TRUE(id.ok());
-  serve::ServeResponse resp = manager.Execute(
+  std::promise<serve::ServeResponse> shed;
+  auto select = manager.Submit(
       "R = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE R;",
+      [&shed](const serve::ServeResponse& r) { shed.set_value(r); },
       /*deadline_ms=*/0.01);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  latch.set_value();
+  ASSERT_TRUE(select.ok());
+  serve::ServeResponse resp = shed.get_future().get();
   ASSERT_FALSE(resp.status.ok());
   ASSERT_NE(resp.trace, nullptr);
   EXPECT_EQ(resp.trace->reason, "shed");

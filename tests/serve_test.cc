@@ -15,6 +15,7 @@
 
 #include "core/runner.h"
 #include "io/gdm_format.h"
+#include "obs/resource.h"
 #include "serve/plan_cache.h"
 #include "serve/serve_catalog.h"
 #include "serve/session_manager.h"
@@ -141,6 +142,50 @@ TEST(SessionManager, ResultCacheInvalidationServesFreshBytes) {
   EXPECT_EQ(Serialize(v2.results), UncachedRun({Encode(99)}, kCoverQuery));
   EXPECT_NE(Serialize(v2.results), Serialize(v1.results));
   EXPECT_GE(manager.result_cache().stats().invalidations, 1u);
+}
+
+TEST(SessionManager, SharedResultBlocksAreNotReclaimable) {
+  ServeCatalog catalog;
+  catalog.Publish(Encode(7));
+  ServeOptions opts;
+  opts.workers = 1;
+  SessionManager manager(&catalog, opts);
+  obs::ResourceTracker& tracker = obs::ResourceTracker::Global();
+
+  // A metadata-only SELECT shares every region block with the catalog
+  // snapshot, so evicting its cached result frees only its metadata.
+  ServeResponse resp = manager.Execute(
+      "S = SELECT(dataType == 'ChipSeq') ENCODE;\nMATERIALIZE S;\n");
+  ASSERT_TRUE(resp.status.ok()) << resp.status.message();
+  ResultCache::Stats cached = manager.result_cache().stats();
+  ASSERT_EQ(cached.entries, 1u);
+  EXPECT_EQ(cached.bytes, resp.results->at("S").EstimateResidentBytes());
+  EXPECT_LT(cached.owned_bytes * 10, cached.bytes);
+
+  // Build the catalog's columns: the reclaimable bytes are those columns
+  // plus the result's owned bytes.
+  std::shared_ptr<const gdm::Dataset> snap = catalog.Resolve("ENCODE").data;
+  for (const auto& s : snap->samples()) s.columns(snap->schema());
+  const uint64_t columns = snap->ColumnarCacheBytes();
+  ASSERT_GT(columns, 0u);
+  EXPECT_EQ(tracker.ReclaimableBytes(), columns + cached.owned_bytes);
+
+  // Over the true figure but under the full one: nothing to shed, and the
+  // result stays cached.
+  tracker.set_budget_bytes(columns + cached.owned_bytes +
+                           (cached.bytes - cached.owned_bytes) / 2);
+  EXPECT_EQ(tracker.MaybeShed(), 0u);
+  EXPECT_EQ(manager.result_cache().stats().entries, 1u);
+  EXPECT_EQ(manager.result_cache().stats().evictions, 0u);
+
+  // Under the catalog's columns: the shed reaches them and ends at or below
+  // the budget.
+  const uint64_t budget = columns / 2;
+  tracker.set_budget_bytes(budget);
+  EXPECT_GT(tracker.MaybeShed(), 0u);
+  EXPECT_LT(snap->ColumnarCacheBytes(), columns);
+  EXPECT_LE(tracker.ReclaimableBytes(), budget);
+  tracker.set_budget_bytes(0);
 }
 
 TEST(SessionManager, AdmissionShedsInsteadOfBlocking) {

@@ -35,13 +35,13 @@
 // only rebuild cost changes. `.mem` in serve mode prints the last query's
 // accounting tree (query -> operator -> bytes) and storage residency.
 //
-// Examples:
-//   gdms_shell --load PEAKS=peaks.narrowPeak --load GENES=genes.gtf \
-//              --exec "R = MAP(n AS COUNT) GENES PEAKS; MATERIALIZE R;" \
+// Examples (each is one command, wrapped for width):
+//   gdms_shell --load PEAKS=peaks.narrowPeak --load GENES=genes.gtf
+//              --exec "R = MAP(n AS COUNT) GENES PEAKS; MATERIALIZE R;"
 //              --out results/
-//   gdms_shell --demo --exec "C = COVER(2, ANY) ENCODE; MATERIALIZE C;" \
+//   gdms_shell --demo --exec "C = COVER(2, ANY) ENCODE; MATERIALIZE C;"
 //              --show chr1:0-2000000
-//   gdms_shell --demo --parallel 4 --serve --sample-ms 100 \
+//   gdms_shell --demo --parallel 4 --serve --sample-ms 100
 //              --expo expo.prom --query-log queries.jsonl --slow-ms 50
 
 #include <chrono>
